@@ -28,6 +28,9 @@ std::optional<SepCounter> FleetCorrelator::on_local_event(const core::Event& eve
     case core::EventType::kSipAuthFailure: kind = CounterKind::kDigestGuess; break;
     default: return std::nullopt;
   }
+  // Keyed by the source of the evidence: a REGISTER's sender, and for an
+  // auth failure the client whose credentials failed (the 401's
+  // destination), never the registrar that answered every user's failure.
   if (event.endpoint.addr.value() == 0) return std::nullopt;
   const SimDuration window = window_of(kind);
   const SimTime window_start = event.time >= 0 ? event.time - event.time % window : 0;

@@ -84,6 +84,13 @@ bool comparable_sample(const obs::Sample& s) {
   return true;
 }
 
+/// The mirrors are compared between the two single engines only: under
+/// sharding the distiller and reassembly counters legitimately move to the
+/// router.
+bool fastpath_comparable_sample(const obs::Sample& s) {
+  return comparable_sample(s) || is_fastpath_mirror(s);
+}
+
 std::string label_string(const obs::Labels& labels) {
   std::string out;
   for (const auto& [k, v] : labels) {
@@ -94,9 +101,10 @@ std::string label_string(const obs::Labels& labels) {
 }
 
 void compare_metrics(const obs::Snapshot& single, obs::Snapshot sharded,
-                     const std::string& who, std::vector<std::string>& mismatches) {
+                     const std::string& who, std::vector<std::string>& mismatches,
+                     bool (*compared)(const obs::Sample&) = comparable_sample) {
   for (const obs::Sample& s : single.samples()) {
-    if (!comparable_sample(s)) continue;
+    if (!compared(s)) continue;
     uint64_t other = sharded.counter_value(s.name, s.labels);
     if (other != s.counter) {
       mismatches.push_back(str::format(
@@ -108,7 +116,7 @@ void compare_metrics(const obs::Snapshot& single, obs::Snapshot sharded,
   // Reverse direction: a lazily-registered cell present only under sharding
   // is itself a divergence.
   for (const obs::Sample& s : sharded.samples()) {
-    if (!comparable_sample(s) || s.counter == 0) continue;
+    if (!compared(s) || s.counter == 0) continue;
     if (single.find(s.name, s.labels) == nullptr) {
       mismatches.push_back(str::format(
           "%s: %s{%s} = %llu, absent from single engine", who.c_str(),
@@ -119,6 +127,15 @@ void compare_metrics(const obs::Snapshot& single, obs::Snapshot sharded,
 }
 
 }  // namespace
+
+bool is_fastpath_mirror(const obs::Sample& sample) {
+  if (sample.kind != obs::InstrumentKind::kCounter) return false;
+  for (std::string_view prefix : {"scidive_distiller_", "scidive_trail_", "scidive_trails_",
+                                  "scidive_eventgen_", "scidive_monitors_"}) {
+    if (sample.name.starts_with(prefix)) return true;
+  }
+  return false;
+}
 
 std::string DifferentialReport::to_string() const {
   if (ok()) {
@@ -177,7 +194,7 @@ DifferentialReport run_differential(const std::vector<pkt::Packet>& stream,
                        "fastpath-on single", report.mismatches);
     }
     compare_metrics(single_snapshot, fast.metrics_snapshot(), "fastpath-on single",
-                    report.mismatches);
+                    report.mismatches, fastpath_comparable_sample);
   }
 
   // Pcap-replay mode: everything downstream consumes the stream after a

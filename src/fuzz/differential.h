@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "pkt/packet.h"
 #include "scidive/sharded_engine.h"
 
@@ -56,7 +57,8 @@ struct DifferentialConfig {
   /// sharded engine run with it enabled, and all of them must produce the
   /// identical alert/verdict multisets and detection metric families. This
   /// is the oracle for the fast path's core claim: bypassing steady-state
-  /// media never changes what is detected.
+  /// media never changes what is detected. The two single engines must also
+  /// agree on every component-stat mirror counter (is_fastpath_mirror).
   bool fastpath_differential = false;
 };
 
@@ -85,5 +87,12 @@ struct DifferentialReport {
 ///     topologies, so packet/fragment counters are out of scope by design).
 DifferentialReport run_differential(const std::vector<pkt::Packet>& stream,
                                     const DifferentialConfig& config = {});
+
+/// A component-stat mirror counter (scidive_distiller_*, scidive_trail_*,
+/// scidive_trails_*, scidive_eventgen_*, scidive_monitors_*). The engine adds
+/// the packets its fast path bypassed back into these at snapshot time, as
+/// the distilled, routed and processed packets they stand for, so they read
+/// the same with the fast path on and off.
+bool is_fastpath_mirror(const obs::Sample& sample);
 
 }  // namespace scidive::fuzz

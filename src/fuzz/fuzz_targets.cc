@@ -6,6 +6,7 @@
 
 #include "capture/pcap.h"
 #include "fleet/sep_wire.h"
+#include "fuzz/differential.h"
 #include "pkt/fragment.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp.h"
@@ -205,50 +206,91 @@ int fuzz_verdict(const uint8_t* data, size_t size) {
 
 namespace {
 
-/// INVITE/200 between fixed endpoints plus a short steady RTP train, so the
-/// established-flow fast path has a populated, actively bypassing flow-cache
-/// entry before the fuzzer's records arrive.
-void establish_cached_flow(core::ScidiveEngine& engine, SimTime upto) {
-  const pkt::Endpoint a_sip{pkt::Ipv4Address(10, 0, 0, 1), 5060};
-  const pkt::Endpoint b_sip{pkt::Ipv4Address(10, 0, 0, 2), 5060};
-  const pkt::Endpoint a_media{pkt::Ipv4Address(10, 0, 0, 1), 16384};
-  const pkt::Endpoint b_media{pkt::Ipv4Address(10, 0, 0, 2), 16384};
-  auto to_bytes = [](const std::string& s) { return Bytes(s.begin(), s.end()); };
+/// One call of the fast-path prelude: INVITE/200 with SDP between fixed
+/// endpoints. Both calls place their caller on 10.0.0.1, so the host's two
+/// media ports are cached side by side.
+struct PreludeCall {
+  const char* call_id;
+  const char* callee;
+  pkt::Endpoint caller_sip, callee_sip;
+  pkt::Endpoint caller_media, callee_media;
+  uint32_t ssrc;  // caller -> callee; the reverse direction uses ssrc + 1
+};
 
-  auto invite = sip::SipMessage::request(sip::Method::kInvite, sip::SipUri("bob", "lab.net"));
-  invite.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-fp-1");
+constexpr PreludeCall kPreludeCalls[] = {
+    {"fastpath-call-1", "bob", {pkt::Ipv4Address(10, 0, 0, 1), 5060},
+     {pkt::Ipv4Address(10, 0, 0, 2), 5060}, {pkt::Ipv4Address(10, 0, 0, 1), 16384},
+     {pkt::Ipv4Address(10, 0, 0, 2), 16384}, 0xfa57},
+    {"fastpath-call-2", "carol", {pkt::Ipv4Address(10, 0, 0, 1), 5060},
+     {pkt::Ipv4Address(10, 0, 0, 3), 5060}, {pkt::Ipv4Address(10, 0, 0, 1), 16386},
+     {pkt::Ipv4Address(10, 0, 0, 3), 16384}, 0xca11},
+};
+
+void signal_call(core::ScidiveEngine& engine, const PreludeCall& call, SimTime at) {
+  auto to_bytes = [](const std::string& s) { return Bytes(s.begin(), s.end()); };
+  const std::string via = "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-" + std::string(call.call_id);
+  const std::string to = "<sip:" + std::string(call.callee) + "@lab.net>";
+  auto invite =
+      sip::SipMessage::request(sip::Method::kInvite, sip::SipUri(call.callee, "lab.net"));
+  invite.headers().add("Via", via);
   invite.headers().add("From", "<sip:alice@lab.net>;tag=ta");
-  invite.headers().add("To", "<sip:bob@lab.net>");
-  invite.headers().add("Call-ID", "fastpath-call-1");
+  invite.headers().add("To", to);
+  invite.headers().add("Call-ID", call.call_id);
   invite.headers().add("CSeq", "1 INVITE");
   invite.headers().add("Contact", "<sip:alice@10.0.0.1:5060>");
-  invite.set_body(sip::make_audio_sdp("10.0.0.1", 16384, 1).to_string(), "application/sdp");
-  pkt::Packet invite_pkt = pkt::make_udp_packet(a_sip, b_sip, to_bytes(invite.to_string()));
-  invite_pkt.timestamp = msec(1);
+  invite.set_body(sip::make_audio_sdp(call.caller_media.addr.to_string(),
+                                      call.caller_media.port, 1)
+                      .to_string(),
+                  "application/sdp");
+  pkt::Packet invite_pkt =
+      pkt::make_udp_packet(call.caller_sip, call.callee_sip, to_bytes(invite.to_string()));
+  invite_pkt.timestamp = at;
   engine.on_packet(invite_pkt);
 
   auto ok = sip::SipMessage::response(200, "OK");
-  ok.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-fp-1");
+  ok.headers().add("Via", via);
   ok.headers().add("From", "<sip:alice@lab.net>;tag=ta");
-  ok.headers().add("To", "<sip:bob@lab.net>;tag=tb");
-  ok.headers().add("Call-ID", "fastpath-call-1");
+  ok.headers().add("To", to + ";tag=tb");
+  ok.headers().add("Call-ID", call.call_id);
   ok.headers().add("CSeq", "1 INVITE");
-  ok.headers().add("Contact", "<sip:bob@10.0.0.2:5060>");
-  ok.set_body(sip::make_audio_sdp("10.0.0.2", 16384, 2).to_string(), "application/sdp");
-  pkt::Packet ok_pkt = pkt::make_udp_packet(b_sip, a_sip, to_bytes(ok.to_string()));
-  ok_pkt.timestamp = msec(10);
+  ok.headers().add("Contact", "<sip:" + std::string(call.callee) + "@" +
+                                  call.callee_sip.addr.to_string() + ":5060>");
+  ok.set_body(sip::make_audio_sdp(call.callee_media.addr.to_string(),
+                                  call.callee_media.port, 2)
+                  .to_string(),
+              "application/sdp");
+  pkt::Packet ok_pkt =
+      pkt::make_udp_packet(call.callee_sip, call.caller_sip, to_bytes(ok.to_string()));
+  ok_pkt.timestamp = at + msec(4);
   engine.on_packet(ok_pkt);
+}
+
+/// Two concurrent calls from the same host plus a short steady RTP train in
+/// both directions of each, so the established-flow fast path holds four
+/// populated, actively bypassing flow-cache entries before the fuzzer's
+/// records arrive: one call's signaling must leave the other's flows alone.
+void establish_cached_flows(core::ScidiveEngine& engine, SimTime upto) {
+  signal_call(engine, kPreludeCalls[0], msec(1));
+  signal_call(engine, kPreludeCalls[1], msec(10));
 
   const Bytes frame(160, 0xd5);
+  auto send = [&](pkt::Endpoint src, pkt::Endpoint dst, uint32_t ssrc, uint16_t seq,
+                  SimTime t) {
+    rtp::RtpHeader h;
+    h.sequence = seq;
+    h.timestamp = static_cast<uint32_t>(seq) * rtp::kSamplesPer20Ms;
+    h.ssrc = ssrc;
+    pkt::Packet p = pkt::make_udp_packet(src, dst, rtp::serialize_rtp(h, frame));
+    p.timestamp = t;
+    engine.on_packet(p);
+  };
   SimTime now = msec(20);
   for (uint16_t i = 1; now < upto; ++i) {
-    rtp::RtpHeader h;
-    h.sequence = i;
-    h.timestamp = static_cast<uint32_t>(i) * rtp::kSamplesPer20Ms;
-    h.ssrc = 0xfa57;
-    pkt::Packet p = pkt::make_udp_packet(b_media, a_media, rtp::serialize_rtp(h, frame));
-    p.timestamp = (now += msec(20));
-    engine.on_packet(p);
+    now += msec(20);
+    for (const PreludeCall& call : kPreludeCalls) {
+      send(call.callee_media, call.caller_media, call.ssrc + 1, i, now);
+      send(call.caller_media, call.callee_media, call.ssrc, i, now);
+    }
   }
 }
 
@@ -263,12 +305,13 @@ int fuzz_fastpath(const uint8_t* data, size_t size) {
   core::ScidiveEngine without(without_config);
 
   // The deterministic prelude runs on both engines; by its end the
-  // fastpath-on engine is mid-bypass on the call's media flow, so the
+  // fastpath-on engine is mid-bypass on both calls' media flows, so the
   // fuzzer's records land on a warm cache and every mutation that matters
   // (SSRC flips, sequence jumps, BYEs, re-INVITEs, garbage) exercises an
-  // invalidation or write-back edge.
-  establish_cached_flow(with, msec(200));
-  establish_cached_flow(without, msec(200));
+  // invalidation or write-back edge — and one call's signaling must leave
+  // the other call's flows bypassing with exact microstate.
+  establish_cached_flows(with, msec(200));
+  establish_cached_flows(without, msec(200));
 
   SimTime now = msec(300);
   for_each_record(data, size, [&](std::span<const uint8_t> record) {
@@ -279,14 +322,27 @@ int fuzz_fastpath(const uint8_t* data, size_t size) {
     with.on_packet(packet);
     without.on_packet(packet);
   });
+  // Mirror counters are compared before expiry (which writes everything
+  // back anyway) so a stale cached flow shows as a divergence.
+  const obs::Snapshot with_live = with.metrics_snapshot();
+  const obs::Snapshot without_live = without.metrics_snapshot();
   with.expire_idle(now + sec(120));
   without.expire_idle(now + sec(120));
-  (void)with.metrics_snapshot();
-  (void)without.metrics_snapshot();
+  const obs::Snapshot with_expired = with.metrics_snapshot();
+  const obs::Snapshot without_expired = without.metrics_snapshot();
 
   // The fast path's core claim: bypassing steady-state media never changes
-  // what is detected. Any divergence in the rendered alert sequence or the
-  // packet accounting is a bug, not an interesting input.
+  // what is detected. Any divergence in the rendered alert sequence, the
+  // packet accounting or the component-stat mirrors is a bug, not an
+  // interesting input.
+  for (const auto& [with_snap, without_snap] :
+       {std::pair(&with_live, &without_live), std::pair(&with_expired, &without_expired)}) {
+    for (const obs::Sample& s : without_snap->samples()) {
+      if (is_fastpath_mirror(s) && with_snap->counter_value(s.name, s.labels) != s.counter) {
+        __builtin_trap();
+      }
+    }
+  }
   const std::vector<core::Alert>& got = with.alerts().alerts();
   const std::vector<core::Alert>& want = without.alerts().alerts();
   if (got.size() != want.size()) __builtin_trap();

@@ -91,21 +91,29 @@ std::optional<Footprint> Distiller::distill(const pkt::Packet& packet) {
 }
 
 std::optional<RtpPeek> Distiller::peek_rtp(const pkt::Packet& packet) const {
-  auto ip = pkt::parse_ipv4(packet.data);
-  if (!ip || ip.value().header.is_fragment()) return std::nullopt;
-  auto udp = pkt::parse_udp_packet(packet.data);
-  if (!udp) return std::nullopt;
-  const pkt::UdpPacketView& u = udp.value();
   // Any port decode() would classify before the final RTP attempt makes the
   // packet ambiguous; odd ports additionally trigger the speculative RTCP
-  // parse. All of those must take the full path.
-  if (config_.sip_ports.contains(u.dst_port) || config_.sip_ports.contains(u.src_port)) {
+  // parse. All of those must take the full path. The ports are screened
+  // from the raw header first, so signaling never pays for the checksums
+  // of a media peek; a packet that passes is then validated in full, and
+  // only a fully valid one (whose ports are these same bytes) is accepted.
+  const std::span<const uint8_t> data = packet.data;
+  if (data.size() < pkt::kIpv4MinHeaderLen) return std::nullopt;
+  const size_t ports_at = static_cast<size_t>(data[0] & 0xf) * 4;
+  if (data.size() < ports_at + 4) return std::nullopt;
+  const uint16_t src_port = static_cast<uint16_t>(data[ports_at] << 8 | data[ports_at + 1]);
+  const uint16_t dst_port = static_cast<uint16_t>(data[ports_at + 2] << 8 | data[ports_at + 3]);
+  if (config_.sip_ports.contains(dst_port) || config_.sip_ports.contains(src_port)) {
     return std::nullopt;
   }
-  if (u.dst_port == config_.acc_port || u.src_port == config_.acc_port) return std::nullopt;
-  if (u.dst_port == h323::kH225Port || u.src_port == h323::kH225Port) return std::nullopt;
-  if (u.dst_port == h323::kRasPort || u.src_port == h323::kRasPort) return std::nullopt;
-  if (u.dst_port % 2 == 1 || u.src_port % 2 == 1) return std::nullopt;
+  if (dst_port == config_.acc_port || src_port == config_.acc_port) return std::nullopt;
+  if (dst_port == h323::kH225Port || src_port == h323::kH225Port) return std::nullopt;
+  if (dst_port == h323::kRasPort || src_port == h323::kRasPort) return std::nullopt;
+  if (dst_port % 2 == 1 || src_port % 2 == 1) return std::nullopt;
+  // Rejects fragments, non-UDP and bad checksums.
+  auto udp = pkt::parse_udp_packet(data);
+  if (!udp) return std::nullopt;
+  const pkt::UdpPacketView& u = udp.value();
   auto rtp = rtp::parse_rtp(u.payload);
   if (!rtp.ok()) return std::nullopt;
   return RtpPeek{u.source(),

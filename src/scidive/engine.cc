@@ -13,6 +13,8 @@ uint64_t ns_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+constexpr const char* kFlowDropNames[] = {"deviation", "rebind", "monitor", "flush"};
+
 }  // namespace
 
 ScidiveEngine::ScidiveEngine(EngineConfig config)
@@ -42,6 +44,12 @@ ScidiveEngine::ScidiveEngine(EngineConfig config)
         .counter("scidive_verdicts_total", "Verdicts emitted by rules, by action and rule",
                  {{"action", std::string(verdict_action_name(v.action))}, {"rule", v.rule}})
         .inc();
+  });
+  // A binding change of one media endpoint hands back only the cached
+  // flows from or to it; every other call's flows stay cached.
+  trails_.set_rebind_hook([this](const pkt::Endpoint& media) {
+    const uint64_t key = pack_flow_endpoint(media);
+    fastpath_drop_touching(key, key, FlowDrop::kRebind);
   });
   auto ruleset = make_default_ruleset(config_.rules);
   for (RulePtr& rule : ruleset) add_rule(std::move(rule));
@@ -99,6 +107,12 @@ void ScidiveEngine::intern_pipeline_instruments() {
     fastpath_invalidations_ = &registry_.counter(
         "scidive_fastpath_invalidations_total",
         "Cached flows handed back to the full pipeline");
+    for (size_t i = 0; i < kFlowDropCount; ++i) {
+      fastpath_drops_[i] = &registry_.counter(
+          "scidive_fastpath_invalidations_by_reason_total",
+          "Cached flows handed back to the full pipeline, by cause",
+          {{"reason", kFlowDropNames[i]}});
+    }
   }
 }
 
@@ -207,7 +221,8 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
       // Slow-path RTP touching a cached destination or cached source is a
       // hazard the peek could not see (fragment reassembly, parallel flow):
       // hand the affected entries back before events are generated.
-      fastpath_probe_slow_rtp(*fp);
+      fastpath_drop_touching(pack_flow_endpoint(fp->dst), pack_flow_endpoint(fp->src),
+                             FlowDrop::kDeviation);
     }
     // Enforcement identities, captured before the footprint moves into the
     // trail: network source, signaling principal, then (post-routing) the
@@ -228,7 +243,13 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
       mark = now;
     }
     scratch_events_.clear();
+    const uint64_t monitors_before = events_.stats().monitors_started;
     events_.process(trail.back(), trail, scratch_events_);
+    if (events_.stats().monitors_started != monitors_before) {
+      // The session now watches its media for orphans: its next packets
+      // are evidence, so its cached flows go back to the full pipeline.
+      fastpath_drop_session(trail.sym());
+    }
     if (timed) {
       const auto now = Clock::now();
       stage_events_->observe(ns_between(mark, now));
@@ -291,15 +312,6 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
 
 bool ScidiveEngine::fastpath_try(const pkt::Packet& packet) {
   if (fastpath_.empty()) return false;
-  if (trails_.media_generation() != fp_media_gen_ ||
-      events_.watch_generation() != fp_watch_gen_) {
-    // Signaling moved the ground under the cache (media binding change,
-    // monitor armed, session migration or expiry): any entry may now be
-    // watched. Flush and take the slow path; flows that are still steady
-    // re-cache within a packet.
-    fastpath_flush();
-    return false;
-  }
   auto peek = distiller_.peek_rtp(packet);
   if (!peek) return false;
   FastFlow* flow = fastpath_.find(pack_flow_endpoint(peek->dst));
@@ -343,7 +355,7 @@ bool ScidiveEngine::fastpath_try(const pkt::Packet& packet) {
   // Deviation: different source, SSRC change, sequence jump beyond the
   // benign-reorder window, pending jitter alarm, or enforcement state that
   // moved since the verdict was cached. Back to the full pipeline.
-  fastpath_invalidate(*flow);
+  fastpath_invalidate(*flow, FlowDrop::kDeviation);
   return false;
 }
 
@@ -369,13 +381,6 @@ void ScidiveEngine::fastpath_maybe_cache(Trail& trail, const Footprint& fp,
   // enforcement change bumps state_generation() and misses the entry.
   if (enforcer_ != nullptr && !enforcer_->steady_pass(src_k, sess_k, fp.time)) return;
 
-  if (fastpath_.empty()) {
-    // First entry after a flush: adopt the current generations. The entry
-    // is built from current state, so everything older is already
-    // reflected in it.
-    fp_media_gen_ = trails_.media_generation();
-    fp_watch_gen_ = events_.watch_generation();
-  }
   FastFlow flow;
   flow.src = fp.src;
   flow.dst = fp.dst;
@@ -392,14 +397,27 @@ void ScidiveEngine::fastpath_maybe_cache(Trail& trail, const Footprint& fp,
   fastpath_src_.try_emplace(src_key, dst_key);
 }
 
-void ScidiveEngine::fastpath_probe_slow_rtp(const Footprint& fp) {
-  if (FastFlow* flow = fastpath_.find(pack_flow_endpoint(fp.dst))) {
-    fastpath_invalidate(*flow);
+void ScidiveEngine::fastpath_drop_touching(uint64_t dst_key, uint64_t src_key, FlowDrop why) {
+  if (fastpath_.empty()) return;
+  if (FastFlow* flow = fastpath_.find(dst_key)) fastpath_invalidate(*flow, why);
+  if (const uint64_t* fed = fastpath_src_.find(src_key)) {
+    const uint64_t key = *fed;  // copy: invalidate erases the index entry
+    if (FastFlow* flow = fastpath_.find(key)) fastpath_invalidate(*flow, why);
   }
-  if (const uint64_t* dst_key = fastpath_src_.find(pack_flow_endpoint(fp.src))) {
-    const uint64_t key = *dst_key;  // copy: invalidate erases the index entry
-    if (FastFlow* flow = fastpath_.find(key)) fastpath_invalidate(*flow);
-  }
+}
+
+void ScidiveEngine::fastpath_drop_session(Symbol sym) {
+  if (fastpath_.empty()) return;
+  EventGenerator::SessionState* state = events_.find_state(sym);
+  if (state == nullptr) return;
+  // A flow is admitted only once its destination has a sequence entry in
+  // its session's state, and those entries are never erased while the
+  // session lives, so the session's destinations reach every entry it owns.
+  // The writeback updates values of the map being walked, never its shape.
+  state->last_seq_by_dst.for_each([&](const pkt::Endpoint& dst, uint16_t&) {
+    FastFlow* flow = fastpath_.find(pack_flow_endpoint(dst));
+    if (flow != nullptr && flow->sym == sym) fastpath_invalidate(*flow, FlowDrop::kMonitor);
+  });
 }
 
 void ScidiveEngine::fastpath_writeback(FastFlow& flow) {
@@ -417,24 +435,23 @@ void ScidiveEngine::fastpath_writeback(FastFlow& flow) {
   flow.bypassed = 0;
 }
 
-void ScidiveEngine::fastpath_invalidate(FastFlow& flow) {
+void ScidiveEngine::fastpath_invalidate(FastFlow& flow, FlowDrop why) {
   fastpath_writeback(flow);
   fastpath_invalidations_->inc();
+  fastpath_drops_[static_cast<size_t>(why)]->inc();
   fastpath_src_.erase(pack_flow_endpoint(flow.src));
   fastpath_.erase(pack_flow_endpoint(flow.dst));  // `flow` dies here
 }
 
 void ScidiveEngine::fastpath_flush() {
-  if (!fastpath_.empty()) {
-    fastpath_.for_each([this](const uint64_t&, FastFlow& flow) {
-      fastpath_writeback(flow);
-      fastpath_invalidations_->inc();
-    });
-    fastpath_.clear();
-    fastpath_src_.clear();
-  }
-  fp_media_gen_ = trails_.media_generation();
-  fp_watch_gen_ = events_.watch_generation();
+  if (fastpath_.empty()) return;
+  fastpath_.for_each([this](const uint64_t&, FastFlow& flow) {
+    fastpath_writeback(flow);
+    fastpath_invalidations_->inc();
+    fastpath_drops_[static_cast<size_t>(FlowDrop::kFlush)]->inc();
+  });
+  fastpath_.clear();
+  fastpath_src_.clear();
 }
 
 VerdictAction ScidiveEngine::peek_packet(const pkt::Packet& packet) const {

@@ -45,10 +45,19 @@ struct FastpathConfig {
   /// The established-flow fast path: a flow-keyed microstate cache that
   /// lets steady in-order RTP for sessions no rule is watching bypass
   /// footprint construction, event generation and rule dispatch entirely.
-  /// Detection output is byte-identical on or off — any deviation (SSRC
-  /// change, out-of-window sequence jump, rule interest, monitor armed,
-  /// enforcement state change, migration, binding change) falls back to the
-  /// full pipeline with the cached microstate written back first.
+  /// Detection output is byte-identical on or off: anything that could
+  /// change what the full pipeline would do with a cached flow's next
+  /// packet hands that flow back, with the cached microstate written back
+  /// first. Invalidation is scoped to what changed:
+  ///   - a deviation on the flow itself (SSRC change, out-of-window
+  ///     sequence jump, pending jitter alarm, enforcement state change, or
+  ///     slow-path RTP sharing its source or destination) drops that flow;
+  ///   - a binding change of media endpoint E (one call's SDP) drops only
+  ///     the flows from or to E;
+  ///   - a monitor armed on session S (one call's BYE, re-INVITE or RTCP
+  ///     BYE) drops only S's flows;
+  ///   - ruleset swaps, session migration and idle expiry flush the table.
+  /// One call's signaling therefore leaves every other call's flows cached.
   bool enabled = true;
 };
 
@@ -246,6 +255,11 @@ class ScidiveEngine {
     SimTime last_time = 0;
   };
 
+  /// Why a cached flow was handed back (the reason label of
+  /// scidive_fastpath_invalidations_by_reason_total).
+  enum class FlowDrop : uint8_t { kDeviation, kRebind, kMonitor, kFlush };
+  static constexpr size_t kFlowDropCount = 4;
+
   static uint64_t pack_flow_endpoint(const pkt::Endpoint& ep) {
     return static_cast<uint64_t>(ep.addr.value()) << 16 | ep.port;
   }
@@ -262,15 +276,17 @@ class ScidiveEngine {
   /// eligibility gate passes.
   void fastpath_maybe_cache(Trail& trail, const Footprint& fp, const RtpFootprint& rtp,
                             uint64_t src_k, uint64_t sess_k);
-  /// Slow-path RTP for a cached dst or src races the cached microstate:
-  /// write back and drop the entry before event generation runs.
-  void fastpath_probe_slow_rtp(const Footprint& fp);
+  /// Hand back the entry cached for destination `dst_key` and the entry
+  /// fed by source `src_key`, if any.
+  void fastpath_drop_touching(uint64_t dst_key, uint64_t src_key, FlowDrop why);
+  /// Hand back every entry of session `sym` (a monitor was just armed).
+  void fastpath_drop_session(Symbol sym);
   /// Flush the advanced microstate back into the trail and the event
   /// generator's session state.
   void fastpath_writeback(FastFlow& flow);
   /// Writeback + erase of one entry (both indexes).
-  void fastpath_invalidate(FastFlow& flow);
-  /// Writeback + erase of every entry; resyncs the generation watermarks.
+  void fastpath_invalidate(FastFlow& flow, FlowDrop why);
+  /// Writeback + erase of every entry.
   void fastpath_flush();
 
   EngineConfig config_;
@@ -293,8 +309,6 @@ class ScidiveEngine {
   FlatMap<uint64_t, FastFlow> fastpath_;        // packed dst -> flow
   FlatMap<uint64_t, uint64_t> fastpath_src_;    // packed src -> packed dst
   bool fastpath_rules_ok_ = false;  // no rule wants steady-state media
-  uint64_t fp_media_gen_ = 0;       // trail-manager binding generation seen
-  uint64_t fp_watch_gen_ = 0;       // event-generator monitor generation seen
   /// Work the bypass skipped, added to the component-stat mirrors at sync
   /// time so the pipeline counters read the same with the fast path on or
   /// off (every bypassed packet *was* distilled/routed/processed, as far as
@@ -322,6 +336,7 @@ class ScidiveEngine {
   obs::Counter* fastpath_hits_ = nullptr;
   obs::Counter* fastpath_misses_ = nullptr;
   obs::Counter* fastpath_invalidations_ = nullptr;
+  obs::Counter* fastpath_drops_[kFlowDropCount] = {};
 
   // Snapshot-synced mirrors (see sync_component_stats()).
   obs::Counter* alerts_total_ = nullptr;

@@ -23,7 +23,8 @@ enum class EventType {
   kSip4xxSeen,             // any 4xx response
   kSipRegisterSeen,        // REGISTER request
   kSipAuthChallenge,       // 401 with a challenge
-  kSipAuthFailure,         // 401 answering a request that carried credentials
+  kSipAuthFailure,         // 401 answering a request that carried credentials;
+                           // endpoint = the client refused
   kImMessageSeen,          // MESSAGE request (instant message)
   kImMessageSent,          // host-based: the local client really sent an IM
                            // (cooperative detection vouching, §6 extension)

@@ -95,7 +95,6 @@ void EventGenerator::start_monitor(SessionState& state, SimTime now, pkt::Endpoi
                                         .emit = emit_type,
                                         .claimed_aor = std::move(claimed_aor)});
   ++stats_.monitors_started;
-  ++watch_generation_;
 }
 
 void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
@@ -225,7 +224,10 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
       emit(out, Event{EventType::kSipAuthChallenge, session, fp.time, sip.to_aor, fp.src, 0,
                       "digest challenge"});
       if (state.last_register_had_auth) {
-        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, sip.to_aor, fp.src, 0,
+        // The endpoint is the client whose credentials failed (the 401's
+        // destination), not the registrar that sent it: per-source
+        // aggregation (fleet digest-guess correlation) keys on it.
+        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, sip.to_aor, fp.dst, 0,
                         state.last_auth_response});
       }
     }
@@ -437,8 +439,6 @@ std::optional<EventGenerator::SessionState> EventGenerator::extract_session(
 
 void EventGenerator::install_session(const SessionId& session, SessionState state) {
   const Symbol sym = trails_.symbols().intern(session);
-  // Adopted state may carry live monitors this engine has never seen arm.
-  if (!state.monitors.empty()) ++watch_generation_;
   *sessions_.try_emplace(sym).first = std::move(state);
 }
 

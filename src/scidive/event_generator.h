@@ -58,12 +58,6 @@ class EventGenerator {
   const EventGeneratorStats& stats() const { return stats_; }
   size_t tracked_sessions() const { return sessions_.size(); }
 
-  /// Bumped whenever a media monitor is armed (or monitor-carrying state is
-  /// adopted from another shard). A monitor means steady media for some
-  /// session has become evidence, so the engine's established-flow fast
-  /// path watches this to fall back to full event generation.
-  uint64_t watch_generation() const { return watch_generation_; }
-
   /// Drop per-session state not touched since `cutoff`.
   size_t expire_idle(SimTime cutoff);
 
@@ -80,8 +74,11 @@ class EventGenerator {
 
   /// Direct access to one session's aggregation state (nullptr when none).
   /// The engine's fast path reads microstate out of it at flow-cache
-  /// creation and writes the advanced microstate back on invalidation.
+  /// creation and writes the advanced microstate back on invalidation; a
+  /// session that arms a monitor (stats().monitors_started advances while
+  /// processing its footprint) has its cached flows handed back at once.
   SessionState* find_state(Symbol sym) { return sessions_.find(sym); }
+  const SessionState* find_state(Symbol sym) const { return sessions_.find(sym); }
 
   /// A watch on a media source after signaling said it should go quiet.
   struct MediaMonitor {
@@ -156,7 +153,6 @@ class EventGenerator {
   /// Passive mirror of the registrar's location service: AOR -> addresses
   /// learned from observed REGISTER Contacts. Feeds the billed-party check.
   std::map<std::string, std::set<pkt::Ipv4Address>> registered_locations_;
-  uint64_t watch_generation_ = 0;
   EventGeneratorStats stats_;
 };
 

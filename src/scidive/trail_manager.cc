@@ -15,10 +15,8 @@ bool is_media(Protocol p) {
 }  // namespace
 
 std::optional<Symbol> TrailManager::media_session_sym(pkt::Endpoint ep, Protocol protocol) const {
-  // Media correlates through SDP-learned endpoints. RTCP runs on
-  // media-port + 1; normalize to the even RTP port for the lookup.
-  if (protocol == Protocol::kRtcp && ep.port % 2 == 1) ep.port -= 1;
-  const Symbol* sym = media_to_session_.find(ep);
+  // Media correlates through SDP-learned endpoints.
+  const Symbol* sym = media_to_session_.find(binding_key(ep, protocol));
   if (sym == nullptr) return std::nullopt;
   return *sym;
 }
@@ -72,6 +70,9 @@ Trail& TrailManager::trail_for(Symbol sym, Protocol protocol) {
   auto [slot_ptr, created] = sessions_.try_emplace(sym);
   if (created) {
     *slot_ptr = std::make_unique<SessionSlot>();
+    // A call's session holds at least its signaling and its media trail:
+    // room for both up front spares the reallocation when media joins.
+    (*slot_ptr)->trails.reserve(2);
     ++stats_.sessions_created;
   }
   SessionSlot& slot = **slot_ptr;
@@ -102,7 +103,7 @@ Trail& TrailManager::route(const Footprint& fp) {
       ++stats_.rtp_unbound;
     }
     Trail& trail = trail_for(sym, fp.protocol);
-    media_flow_cache_.try_emplace(flow, CachedRoute{&trail, bound});
+    cache_route(flow, trail, bound);
     return trail;
   }
   bool bound = false;
@@ -116,6 +117,71 @@ Trail& TrailManager::add(Footprint fp) {
   return trail;
 }
 
+void TrailManager::cache_route(const MediaFlowKey& flow, Trail& trail, bool bound) {
+  uint32_t node = free_route_;
+  if (node != kNoLink) {
+    free_route_ = route_nodes_[node].next[0];
+    route_nodes_[node] = RouteNode{flow};
+  } else {
+    node = static_cast<uint32_t>(route_nodes_.size());
+    route_nodes_.push_back(RouteNode{flow});
+  }
+  media_flow_cache_.try_emplace(flow, CachedRoute{&trail, bound});
+  const pkt::Endpoint src = binding_key(flow.src, flow.protocol);
+  const pkt::Endpoint dst = binding_key(flow.dst, flow.protocol);
+  link_route(node << 1, src);
+  if (dst != src) link_route(node << 1 | 1, dst);
+}
+
+void TrailManager::link_route(uint32_t link, const pkt::Endpoint& at) {
+  uint32_t& head = *routes_at_.try_emplace(at, kNoLink).first;
+  RouteNode& node = route_nodes_[link >> 1];
+  node.prev[link & 1] = kNoLink;
+  node.next[link & 1] = head;
+  if (head != kNoLink) route_nodes_[head >> 1].prev[head & 1] = link;
+  head = link;
+}
+
+void TrailManager::unlink_route(uint32_t link, const pkt::Endpoint& at) {
+  const RouteNode& node = route_nodes_[link >> 1];
+  const uint32_t prev = node.prev[link & 1];
+  const uint32_t next = node.next[link & 1];
+  if (next != kNoLink) route_nodes_[next >> 1].prev[next & 1] = prev;
+  if (prev != kNoLink) {
+    route_nodes_[prev >> 1].next[prev & 1] = next;
+  } else if (next != kNoLink) {
+    *routes_at_.find(at) = next;
+  } else {
+    routes_at_.erase(at);
+  }
+}
+
+void TrailManager::drop_route(uint32_t node) {
+  const MediaFlowKey flow = route_nodes_[node].flow;
+  const pkt::Endpoint src = binding_key(flow.src, flow.protocol);
+  const pkt::Endpoint dst = binding_key(flow.dst, flow.protocol);
+  unlink_route(node << 1, src);
+  if (dst != src) unlink_route(node << 1 | 1, dst);
+  media_flow_cache_.erase(flow);
+  route_nodes_[node].next[0] = free_route_;
+  free_route_ = node;
+}
+
+void TrailManager::media_rebound(const pkt::Endpoint& media) {
+  // A changed binding can redirect exactly the flows that resolve through
+  // this endpoint (to or from a synthetic flow-session, or another call);
+  // every other cached route still classifies the same.
+  while (const uint32_t* head = routes_at_.find(media)) drop_route(*head >> 1);
+  if (rebind_hook_) rebind_hook_(media);
+}
+
+void TrailManager::clear_media_routes() {
+  media_flow_cache_.clear();
+  route_nodes_.clear();
+  routes_at_.clear();
+  free_route_ = kNoLink;
+}
+
 void TrailManager::bind_media_endpoint(const pkt::Endpoint& media, const SessionId& session) {
   const Symbol sym = symbols_.intern(session);
   auto [slot, inserted] = media_to_session_.try_emplace(media, sym);
@@ -123,13 +189,11 @@ void TrailManager::bind_media_endpoint(const pkt::Endpoint& media, const Session
     if (*slot == sym) return;  // re-signaled same binding: keep cache
     *slot = sym;
   }
-  // A new or changed binding can redirect flows that previously resolved to
-  // a synthetic flow-session (or another call), so cached routes are stale.
-  invalidate_media_routes();
+  media_rebound(media);
 }
 
 void TrailManager::unbind_media_endpoint(const pkt::Endpoint& media) {
-  if (media_to_session_.erase(media)) invalidate_media_routes();
+  if (media_to_session_.erase(media)) media_rebound(media);
 }
 
 std::optional<SessionId> TrailManager::session_for_media(const pkt::Endpoint& media) const {
@@ -232,7 +296,7 @@ TrailManager::ExtractedSession TrailManager::extract_session(const SessionId& se
   // Cached media routes may point into the departed trails. The source
   // symbol stays interned (symbols are never recycled); it simply has no
   // state behind it any more.
-  invalidate_media_routes();
+  clear_media_routes();
   return out;
 }
 
@@ -247,7 +311,7 @@ void TrailManager::install_session(ExtractedSession&& moved) {
   }
   for (const pkt::Endpoint& ep : moved.media) media_to_session_.insert_or_assign(ep, sym);
   sessions_.try_emplace(sym, std::move(moved.slot));
-  if (!moved.media.empty()) invalidate_media_routes();
+  if (!moved.media.empty()) clear_media_routes();
 }
 
 size_t TrailManager::expire_idle(SimTime cutoff) {
@@ -267,7 +331,7 @@ size_t TrailManager::expire_idle(SimTime cutoff) {
     return true;
   });
   // Expired trails may still be referenced by cached media routes.
-  if (dropped != 0) invalidate_media_routes();
+  if (dropped != 0) clear_media_routes();
   return dropped;
 }
 

@@ -21,11 +21,23 @@
 // classified, a (src, dst, protocol) -> Trail* cache routes every further
 // packet of that flow with a single hash lookup on trivially-hashable keys —
 // no session-id strings are built or copied, so steady-state in-session RTP
-// classification performs zero heap allocations. The cache is invalidated
-// whenever a binding changes (SDP re-binds, expiry), which only happens on
-// the rare signaling path.
+// classification performs zero heap allocations.
+//
+// Invalidation is scoped to what changed. A flow's route depends only on the
+// bindings of its two endpoints (RTCP resolves port E+1 through the binding
+// of E), so a binding change of endpoint E — one call's SDP, a re-INVITE, an
+// unbind — drops only the cached routes whose source or destination resolves
+// through E. Each cached route is threaded onto two intrusive per-endpoint
+// lists held in a reusable node pool, so that drop costs O(routes touching
+// E): no table scan on the signaling path, and no allocation once the pool
+// has reached the live route count. The same change is reported through the
+// rebind hook, so a downstream flow cache (the engine's established-flow
+// fast path) can drop exactly the same flows. The rare events that move
+// whole sessions — extract_session, install_session, expire_idle — clear the
+// route cache outright, and their callers flush their own caches.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,6 +82,13 @@ class TrailManager {
   void unbind_media_endpoint(const pkt::Endpoint& media);
   std::optional<SessionId> session_for_media(const pkt::Endpoint& media) const;
 
+  /// Called with E after every binding change of endpoint E (learned,
+  /// moved to another session, or dropped), once the cached routes through
+  /// E are gone. It runs inside EventGenerator::process, so it must not
+  /// insert or erase event-generator session state.
+  using RebindHook = std::function<void(const pkt::Endpoint&)>;
+  void set_rebind_hook(RebindHook hook) { rebind_hook_ = std::move(hook); }
+
   /// Lookup; nullptr when the trail does not exist.
   const Trail* find(const SessionId& session, Protocol protocol) const;
   Trail* find_mut(const SessionId& session, Protocol protocol);
@@ -80,12 +99,6 @@ class TrailManager {
   std::vector<const Trail*> session_trails(const SessionId& session) const;
 
   std::vector<SessionId> sessions() const;
-  /// Bumped whenever the media routing picture changes (binding learned or
-  /// dropped, session extracted/installed, trails expired) — exactly the
-  /// moments the internal flow-route cache is cleared. The engine's
-  /// established-flow fast path watches this to invalidate its own
-  /// flow-keyed cache in lockstep.
-  uint64_t media_generation() const { return media_generation_; }
   size_t trail_count() const { return trails_.size(); }
   size_t session_count() const { return sessions_.size(); }
   size_t media_binding_count() const { return media_to_session_.size(); }
@@ -172,20 +185,40 @@ class TrailManager {
       return flat_mix64(h);
     }
   };
+  static constexpr uint32_t kNoLink = 0xffffffffu;
   struct CachedRoute {
     Trail* trail = nullptr;
     bool bound = false;  // preserved so stats stay exact on cache hits
   };
+  /// A cached route's place on the per-endpoint lists. A link id is
+  /// (node << 1 | side): side 0 threads the list of the flow's source
+  /// binding key, side 1 that of its destination (unused when both keys
+  /// are equal). Freed nodes chain through next[0].
+  struct RouteNode {
+    MediaFlowKey flow;
+    uint32_t prev[2] = {kNoLink, kNoLink};
+    uint32_t next[2] = {kNoLink, kNoLink};
+  };
+
+  /// The endpoint whose binding resolves `ep` for `protocol`: RTCP runs on
+  /// media-port + 1, so an odd RTCP port resolves through the even port.
+  static pkt::Endpoint binding_key(pkt::Endpoint ep, Protocol protocol) {
+    if (protocol == Protocol::kRtcp && ep.port % 2 == 1) ep.port -= 1;
+    return ep;
+  }
 
   Symbol classify(const Footprint& fp, bool& media_bound);
   Trail& trail_for(Symbol sym, Protocol protocol);
-  /// Cached media routes are stale: drop them and advance the generation so
-  /// downstream flow caches (the engine fast path) invalidate too.
-  void invalidate_media_routes() {
-    media_flow_cache_.clear();
-    ++media_generation_;
-  }
   std::optional<Symbol> media_session_sym(pkt::Endpoint ep, Protocol protocol) const;
+  void cache_route(const MediaFlowKey& flow, Trail& trail, bool bound);
+  void link_route(uint32_t link, const pkt::Endpoint& at);
+  void unlink_route(uint32_t link, const pkt::Endpoint& at);
+  void drop_route(uint32_t node);
+  /// The binding of `media` changed: drop the routes through it and tell
+  /// the rebind hook.
+  void media_rebound(const pkt::Endpoint& media);
+  /// Drop every cached media route (whole-session moves and expiry).
+  void clear_media_routes();
 
   size_t max_footprints_per_trail_;
   SymbolTable symbols_;
@@ -194,9 +227,13 @@ class TrailManager {
   FlatMap<uint64_t, Trail*> trails_;
   FlatMap<Symbol, std::unique_ptr<SessionSlot>> sessions_;
   FlatMap<pkt::Endpoint, Symbol> media_to_session_;
-  /// Flow-direction -> trail fast path; cleared when bindings change.
+  /// Flow-direction -> trail fast path.
   FlatMap<MediaFlowKey, CachedRoute, MediaFlowKeyHash> media_flow_cache_;
-  uint64_t media_generation_ = 0;
+  std::vector<RouteNode> route_nodes_;
+  uint32_t free_route_ = kNoLink;
+  /// Binding key -> first link of the list of cached routes through it.
+  FlatMap<pkt::Endpoint, uint32_t> routes_at_;
+  RebindHook rebind_hook_;
   TrailManagerStats stats_;
 };
 

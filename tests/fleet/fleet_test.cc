@@ -12,6 +12,8 @@
 #include "pkt/ipv4.h"
 #include "scidive/enforce.h"
 #include "scidive/rules.h"
+#include "sip/auth.h"
+#include "sip/message.h"
 #include "voip/attack.h"
 #include "voip/voip_fixture.h"
 
@@ -255,6 +257,91 @@ TEST(FleetCorrelation, DigestGuessingAggregatesFleetWide) {
     if (alert.rule == kFleetDigestGuessRule) ++fleet_alerts;
   }
   EXPECT_EQ(fleet_alerts, 1u);
+}
+
+/// One benign failed login: `user` REGISTERs from `client`, is challenged,
+/// answers with a wrong password and is refused again — four packets, one
+/// SipAuthFailure.
+std::vector<pkt::Packet> failed_registration(const std::string& user, pkt::Endpoint client,
+                                             SimTime at) {
+  const pkt::Endpoint registrar{pkt::Ipv4Address(192, 168, 0, 1), 5060};
+  const sip::DigestChallenge challenge{"carrier.example", "nonce-" + user};
+  const std::string aor = "<sip:" + user + "@carrier.example>";
+  auto message = [&](sip::SipMessage msg, uint32_t cseq) {
+    msg.headers().add("Via", "SIP/2.0/UDP " + client.to_string() + ";branch=z9hG4bK-" + user +
+                                 "-" + std::to_string(cseq));
+    msg.headers().add("From", aor + ";tag=" + user);
+    msg.headers().add("To", aor);
+    msg.headers().add("Call-ID", "reg-" + user);
+    msg.headers().add("CSeq", std::to_string(cseq) + " REGISTER");
+    return msg;
+  };
+  auto packet = [&](pkt::Endpoint src, pkt::Endpoint dst, const sip::SipMessage& msg,
+                    SimTime t) {
+    const std::string text = msg.to_string();
+    pkt::Packet p = pkt::make_udp_packet(src, dst, Bytes(text.begin(), text.end()));
+    p.timestamp = t;
+    return p;
+  };
+  auto challenged = [&](uint32_t cseq) {
+    auto rsp = message(sip::SipMessage::response(401, "Unauthorized"), cseq);
+    rsp.headers().add("WWW-Authenticate", challenge.to_header_value());
+    return rsp;
+  };
+  auto retry = message(
+      sip::SipMessage::request(sip::Method::kRegister, sip::SipUri("", "carrier.example")), 2);
+  retry.headers().add(
+      "Authorization",
+      sip::answer_challenge(challenge, user, "wrong-password", "REGISTER", "sip:carrier.example")
+          .to_header_value());
+  return {packet(client, registrar,
+                 message(sip::SipMessage::request(sip::Method::kRegister,
+                                                  sip::SipUri("", "carrier.example")),
+                         1),
+                 at),
+          packet(registrar, client, challenged(1), at + msec(5)),
+          packet(client, registrar, retry, at + msec(10)),
+          packet(registrar, client, challenged(2), at + msec(15))};
+}
+
+size_t fleet_digest_alerts(const std::vector<pkt::Packet>& stream) {
+  FleetConfig fc;
+  fc.node.engine.num_shards = 1;
+  fc.node.engine.engine.obs.time_stages = false;
+  Fleet fleet(fc, {"node-0", "node-1"});
+  for (const pkt::Packet& p : stream) fleet.on_packet(p);
+  fleet.flush();
+  size_t alerts = 0;
+  for (const core::Alert& alert : fleet.merged_alerts()) {
+    if (alert.rule == kFleetDigestGuessRule) ++alerts;
+  }
+  return alerts;
+}
+
+TEST(FleetCorrelation, BenignFailuresOfDistinctUsersDoNotSum) {
+  // Eight users on eight hosts each fail one login within one window. The
+  // registrar answered every failure, but digest guessing is keyed by the
+  // client whose credentials failed, so no source reaches the threshold.
+  std::vector<pkt::Packet> stream;
+  for (uint8_t k = 1; k <= 8; ++k) {
+    for (pkt::Packet& p : failed_registration("user" + std::to_string(k),
+                                              {pkt::Ipv4Address(10, 255, 255, k), 5060},
+                                              msec(100) * k)) {
+      stream.push_back(std::move(p));
+    }
+  }
+  EXPECT_EQ(fleet_digest_alerts(stream), 0u);
+
+  // The same eight failures from one client are a guessing run.
+  stream.clear();
+  for (uint8_t k = 1; k <= 8; ++k) {
+    for (pkt::Packet& p : failed_registration("user" + std::to_string(k),
+                                              {pkt::Ipv4Address(10, 255, 255, 1), 5060},
+                                              msec(100) * k)) {
+      stream.push_back(std::move(p));
+    }
+  }
+  EXPECT_EQ(fleet_digest_alerts(stream), 1u);
 }
 
 TEST(FleetScreening, VerdictOnOneNodeScreensThePrincipalOnAll) {

@@ -11,6 +11,7 @@
 #include "capture/packet_source.h"
 #include "fuzz/corpus.h"
 #include "fuzz/differential.h"
+#include "scidive/distiller.h"
 #include "scidive/engine.h"
 #include "scidive/rules.h"
 #include "voip/attack.h"
@@ -49,6 +50,18 @@ uint64_t bypassed_on(const std::vector<pkt::Packet>& stream) {
   core::ScidiveEngine engine(config);
   for (const pkt::Packet& p : stream) engine.on_packet(p);
   return engine.fastpath_bypassed();
+}
+
+/// Packets of the stream that distill as RTP: the traffic the fast path
+/// exists to bypass.
+uint64_t rtp_packets(const std::vector<pkt::Packet>& stream) {
+  core::Distiller distiller;
+  uint64_t rtp = 0;
+  for (const pkt::Packet& p : stream) {
+    auto fp = distiller.distill(p);
+    if (fp && fp->protocol == core::Protocol::kRtp) ++rtp;
+  }
+  return rtp;
 }
 
 TEST(FastpathDifferential, ByeAttackStream) {
@@ -181,7 +194,10 @@ TEST(FastpathDifferential, CarrierMixStream) {
   capture::CarrierMixSource source(mix);
   const std::vector<pkt::Packet> stream = capture::read_all(source);
   ASSERT_GT(stream.size(), 1000u);
-  EXPECT_GT(bypassed_on(stream), 100u) << "carrier media should mostly bypass";
+  // One call's SDP or BYE invalidates only that call's flows, so steady
+  // carrier media stays cached while other calls come and go.
+  EXPECT_GE(bypassed_on(stream) * 10, rtp_packets(stream) * 8)
+      << "carrier media should mostly bypass";
   DifferentialReport report = run_differential(stream, fastpath_config());
   EXPECT_TRUE(report.ok()) << report.to_string();
 }

@@ -194,6 +194,7 @@ TEST(EventGenerator, RegisterChallengeSequence) {
   const Event* failure = h.find(EventType::kSipAuthFailure);
   ASSERT_NE(failure, nullptr);
   EXPECT_EQ(failure->detail, "deadbeef");
+  EXPECT_EQ(failure->endpoint, kASip) << "the refused client, not the registrar";
 }
 
 TEST(EventGenerator, ImMessageEvent) {

@@ -186,6 +186,53 @@ TEST(TrailManager, UnbindMediaEndpoint) {
   EXPECT_FALSE(tm.session_for_media(ep(2, 16384)).has_value());
 }
 
+TEST(TrailManager, BindingDropsOnlyRoutesThroughTheEndpoint) {
+  // Four cached media routes: two through ep(2, 16384) (RTP to it, RTCP
+  // from its +1 port), two elsewhere. Binding ep(2, 16384) re-routes the
+  // first two and leaves the others cached.
+  TrailManager tm;
+  auto rtcp = [](SimTime t, pkt::Endpoint src, pkt::Endpoint dst) {
+    Footprint fp;
+    fp.protocol = Protocol::kRtcp;
+    fp.time = t;
+    fp.src = src;
+    fp.dst = dst;
+    fp.data = RtcpFootprint{.is_bye = false, .ssrc = 1};
+    return fp;
+  };
+  for (SimTime t = 0; t < 2; ++t) {
+    tm.add(rtp_packet(1, 7, t, ep(1, 16384), ep(2, 16384)));
+    tm.add(rtcp(t, ep(2, 16385), ep(1, 16385)));
+    tm.add(rtp_packet(1, 8, t, ep(3, 16384), ep(4, 16384)));
+    tm.add(rtp_packet(1, 9, t, ep(1, 16386), ep(5, 16384)));
+  }
+  EXPECT_EQ(tm.stats().flow_cache_hits, 4u);
+  EXPECT_EQ(tm.stats().rtp_unbound, 8u);
+
+  tm.bind_media_endpoint(ep(2, 16384), "call-A");
+  tm.add(rtp_packet(2, 8, 2, ep(3, 16384), ep(4, 16384)));
+  tm.add(rtp_packet(2, 9, 2, ep(1, 16386), ep(5, 16384)));
+  EXPECT_EQ(tm.stats().flow_cache_hits, 6u) << "routes elsewhere must stay cached";
+  tm.add(rtp_packet(2, 7, 2, ep(1, 16384), ep(2, 16384)));
+  tm.add(rtcp(2, ep(2, 16385), ep(1, 16385)));
+  EXPECT_EQ(tm.stats().flow_cache_hits, 6u) << "routes through the endpoint re-classify";
+  ASSERT_NE(tm.find("call-A", Protocol::kRtp), nullptr);
+  EXPECT_EQ(tm.find("call-A", Protocol::kRtp)->size(), 1u);
+  ASSERT_NE(tm.find("call-A", Protocol::kRtcp), nullptr);
+  EXPECT_EQ(tm.find("call-A", Protocol::kRtcp)->size(), 1u);
+  // The re-classified routes are cached again under the new binding.
+  tm.add(rtp_packet(3, 7, 3, ep(1, 16384), ep(2, 16384)));
+  EXPECT_EQ(tm.stats().flow_cache_hits, 7u);
+
+  // Unbinding drops them again; they fall back to their flow sessions.
+  tm.unbind_media_endpoint(ep(2, 16384));
+  tm.add(rtp_packet(4, 7, 4, ep(1, 16384), ep(2, 16384)));
+  tm.add(rtp_packet(3, 8, 4, ep(3, 16384), ep(4, 16384)));
+  EXPECT_EQ(tm.stats().flow_cache_hits, 8u);
+  EXPECT_EQ(tm.find("call-A", Protocol::kRtp)->size(), 2u);
+  EXPECT_EQ(tm.stats().rtp_bound_to_session, 3u);
+}
+
 TEST(TrailManager, InternsSessionSymbolsOnce) {
   TrailManager tm;
   tm.add(sip_request("INVITE", "call-A", "a@x", "t", "b@x", "", 0, ep(1, 1), ep(2, 2)));
