@@ -190,6 +190,26 @@ void BM_DistillSipPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_DistillSipPacket);
 
+/// Allocations per SIP packet through the Distiller. The message is read
+/// as views in one pass, so the only allocation is the footprint's box:
+/// every string of the bench INVITE fits the small-string buffer.
+/// scripts/check_allocs.py holds this at 1.
+void BM_DistillSipPacketAllocs(benchmark::State& state) {
+  core::Distiller distiller;
+  auto p = pkt::make_udp_packet(kASip, kBSip, from_string(make_invite_text()));
+  for (int i = 0; i < 100; ++i) (void)distiller.distill(p);  // warm the scan buffers
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto fp = distiller.distill(p);
+    benchmark::DoNotOptimize(fp);
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DistillSipPacketAllocs);
+
 void BM_DistillRtpPacket(benchmark::State& state) {
   core::Distiller distiller;
   auto p = make_rtp_pkt(100);

@@ -8,7 +8,7 @@ Run the alloc-counting benchmarks with google-benchmark's JSON reporter:
     python3 scripts/check_allocs.py allocs.json
 
 The guarded benchmarks measure steady-state allocations per operation on
-the RTP hot path. BM_TrailRouteRtpAllocs (both metric arms),
+the RTP hot path, plus one SIP ceiling. BM_TrailRouteRtpAllocs (both metric arms),
 BM_EngineRtpPacketAllocs (builtin and DSL rulesets, fast path disabled so
 the full slow pipeline stays covered), BM_EngineRtpFastpathAllocs (the
 established-flow bypass itself, both rulesets) and
@@ -19,6 +19,12 @@ allocates nothing, and the enforcement decision path is FlatMaps and
 token arithmetic on top of it. A small epsilon absorbs one-time
 noise that leaks past warm-up (a rare flat-map rehash amortised over
 millions of iterations lands around 1e-6 allocs/op).
+
+BM_DistillSipPacketAllocs is held at exactly one allocation per SIP
+packet: the Distiller scans the message as views into a reused buffer and
+builds the footprint once, so the footprint's heap box is the only cell
+(every string of the bench INVITE fits the small-string buffer). A second
+allocation means a copy crept back into the SIP distill path.
 
 BM_EngineRtpFastpathAllocs also reports a bypassed_share counter (bypass
 hits / measured iterations). It must stay near 1.0 — a zero-alloc run
@@ -38,16 +44,18 @@ import sys
 # run, ~4.5e-6 allocs/op in practice).
 EPSILON = 0.01
 
-# Benchmark-name prefixes that must stay allocation-free. Each expands to
-# every run matching "<prefix>/" or exactly "<prefix>" in the JSON, so the
-# Arg(0)/Arg(1) arms (metrics off/on, builtin/DSL rules) are all guarded.
-GUARDED = [
-    "BM_TrailRouteRtpAllocs",
-    "BM_TrailAddRtpAllocs",
-    "BM_EngineRtpPacketAllocs",
-    "BM_EngineRtpFastpathAllocs",
-    "BM_EngineRtpVerdictAllocs",
-]
+# Benchmark-name prefixes and their allocs/op ceiling (before EPSILON).
+# Each expands to every run matching "<prefix>/" or exactly "<prefix>" in
+# the JSON, so the Arg(0)/Arg(1) arms (metrics off/on, builtin/DSL rules)
+# are all guarded.
+GUARDED = {
+    "BM_TrailRouteRtpAllocs": 0,
+    "BM_TrailAddRtpAllocs": 0,
+    "BM_EngineRtpPacketAllocs": 0,
+    "BM_EngineRtpFastpathAllocs": 0,
+    "BM_EngineRtpVerdictAllocs": 0,
+    "BM_DistillSipPacketAllocs": 1,
+}
 
 # Minimum fraction of measured iterations that must take the fast-path
 # bypass in benchmarks reporting a bypassed_share counter. Guards against
@@ -76,9 +84,10 @@ def main(path: str) -> int:
             print(f"FAIL {name}: no allocs_per_op counter in JSON")
             status = 1
             continue
-        if allocs > EPSILON:
+        ceiling = GUARDED[base] + EPSILON
+        if allocs > ceiling:
             print(f"FAIL {name}: allocs_per_op = {allocs:.6g} "
-                  f"(threshold {EPSILON})")
+                  f"(threshold {ceiling})")
             status = 1
         else:
             print(f"OK   {name}: allocs_per_op = {allocs:.6g}")
@@ -99,7 +108,7 @@ def main(path: str) -> int:
             status = 1
 
     if status == 0:
-        print("allocation guard: all hot paths at zero allocs/op")
+        print("allocation guard: every guarded path within its allocs/op ceiling")
     return status
 
 

@@ -23,6 +23,10 @@ class Box {
  public:
   Box() = default;
   Box(T value) : p_(std::make_unique<T>(std::move(value))) {}
+  /// Construct the pointee in place (no temporary to move from).
+  template <typename... Args>
+  explicit Box(std::in_place_t, Args&&... args)
+      : p_(std::make_unique<T>(std::forward<Args>(args)...)) {}
 
   Box(const Box& other) : p_(other.p_ ? std::make_unique<T>(*other.p_) : nullptr) {}
   Box(Box&&) noexcept = default;

@@ -56,31 +56,10 @@ size_t find_crlf(std::string_view s, size_t from) {
   }
 }
 
-std::string_view trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = to_lower(c);
   return out;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
-  }
-  return true;
-}
-
-bool istarts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && iequals(s.substr(0, prefix.size()), prefix);
 }
 
 std::vector<std::string_view> split(std::string_view s, char sep) {

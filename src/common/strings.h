@@ -9,17 +9,44 @@
 
 namespace scidive::str {
 
-/// Remove leading and trailing ASCII whitespace.
-std::string_view trim(std::string_view s);
+/// ASCII whitespace: what std::isspace accepts in the "C" locale.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// ASCII letter or digit: what std::isalnum accepts in the "C" locale.
+constexpr bool is_alnum(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+/// ASCII lower case of one character.
+constexpr char to_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// Remove leading and trailing ASCII whitespace. Inline: the text-protocol
+/// parsers trim every field they read.
+inline std::string_view trim(std::string_view s) {
+  size_t b = 0, e = s.size();
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
 
 /// ASCII lower-case copy.
 std::string to_lower(std::string_view s);
 
 /// Case-insensitive ASCII comparison.
-bool iequals(std::string_view a, std::string_view b);
+inline bool iequals(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (to_lower(a[i]) != to_lower(b[i])) return false;
+  }
+  return true;
+}
 
 /// Case-insensitive prefix test.
-bool istarts_with(std::string_view s, std::string_view prefix);
+inline bool istarts_with(std::string_view s, std::string_view prefix) {
+  return s.size() >= prefix.size() && iequals(s.substr(0, prefix.size()), prefix);
+}
 
 /// Index of the first `needle` byte at or after `from`; npos when absent.
 /// 16-bytes-per-iteration SSE2 scan (SWAR fallback elsewhere) — the SIP
@@ -33,6 +60,32 @@ size_t find_crlf(std::string_view s, size_t from = 0);
 
 /// Split on a separator character. Empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char sep);
+
+/// Walks the fields of `s` split on `sep` without allocating: yields exactly
+/// the fields split() would return, empty ones included, one per next().
+class Fields {
+ public:
+  Fields(std::string_view s, char sep) : rest_(s), sep_(sep) {}
+
+  /// Store the next field in `field`; false once every field was yielded.
+  bool next(std::string_view& field) {
+    if (done_) return false;
+    const size_t pos = find_byte(rest_, sep_);
+    if (pos == std::string_view::npos) {
+      field = rest_;
+      done_ = true;
+    } else {
+      field = rest_.substr(0, pos);
+      rest_.remove_prefix(pos + 1);
+    }
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+  char sep_;
+  bool done_ = false;
+};
 
 /// Split on the first occurrence of sep. Returns nullopt if sep is absent.
 std::optional<std::pair<std::string_view, std::string_view>> split_once(std::string_view s,

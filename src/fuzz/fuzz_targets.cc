@@ -7,6 +7,7 @@
 #include "capture/pcap.h"
 #include "fleet/sep_wire.h"
 #include "fuzz/differential.h"
+#include "fuzz/sip_oracle.h"
 #include "pkt/fragment.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp.h"
@@ -19,6 +20,14 @@
 
 namespace scidive::fuzz {
 namespace {
+
+/// SIP parse failures charged so far, over every reason.
+uint64_t sip_parse_errors(const core::DistillerStats& stats) {
+  uint64_t total = 0;
+  for (size_t reason = 0; reason < core::kParseReasonCount; ++reason)
+    total += stats.parse_errors.count(core::ParseProto::kSip, static_cast<Errc>(reason));
+  return total;
+}
 
 /// Iterate [u16 be length][bytes] records; a final short record is taken
 /// as-is (fuzzers routinely truncate, and the tail bytes are still input).
@@ -38,6 +47,10 @@ void for_each_record(const uint8_t* data, size_t size, Fn&& fn) {
 }  // namespace
 
 int fuzz_sip_message(const uint8_t* data, size_t size) {
+  // The Distiller's one-pass view path must agree with the owning parser
+  // and accessors on every field and on the parse-error cell.
+  if (!check_sip_distill(std::string_view(reinterpret_cast<const char*>(data), size)).empty())
+    __builtin_trap();
   auto parsed = sip::SipMessage::parse(std::span<const uint8_t>(data, size));
   if (!parsed.ok()) return 0;
   const sip::SipMessage& msg = parsed.value();
@@ -106,7 +119,23 @@ int fuzz_distiller(const uint8_t* data, size_t size) {
     pkt::Packet packet;
     packet.data.assign(record.begin(), record.end());
     packet.timestamp = now;
-    (void)distiller.distill(packet);
+    const uint64_t sip_errors = sip_parse_errors(distiller.stats());
+    auto fp = distiller.distill(packet);
+    // Every whole-datagram SIP footprint must equal the reference oracle's,
+    // and be charged to the same parse-error cell.
+    if (!fp || fp->protocol != core::Protocol::kSip) return;
+    auto udp = pkt::parse_udp_packet(record);
+    if (!udp.ok()) return;  // completed a reassembly: the record is a fragment
+    std::string_view payload(reinterpret_cast<const char*>(udp.value().payload.data()),
+                             udp.value().payload.size());
+    Errc error = Errc::kOk;
+    const core::SipFootprint reference = reference_sip_distill(payload, error);
+    if (!sip_footprint_diff(*fp->sip(), reference).empty()) __builtin_trap();
+    const uint64_t charged = sip_parse_errors(distiller.stats()) - sip_errors;
+    if (charged != (error == Errc::kOk ? 0u : 1u)) __builtin_trap();
+    if (error != Errc::kOk &&
+        distiller.stats().parse_errors.count(core::ParseProto::kSip, error) == 0)
+      __builtin_trap();
   });
   return 0;
 }

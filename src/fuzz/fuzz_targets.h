@@ -17,7 +17,9 @@
 namespace scidive::fuzz {
 
 /// SIP message grammar: SipMessage::parse + reserialization + the lazy
-/// structured-header accessors.
+/// structured-header accessors. Traps when the Distiller's one-pass view
+/// path (core::distill_sip) and the reference oracle built on the owning
+/// accessors (sip_oracle.h) disagree on any footprint field or error cell.
 int fuzz_sip_message(const uint8_t* data, size_t size);
 
 /// SDP body parser.
@@ -34,7 +36,9 @@ int fuzz_rtcp(const uint8_t* data, size_t size);
 /// duplicate and hole handling plus expiry).
 int fuzz_fragment_reassembly(const uint8_t* data, size_t size);
 
-/// Full Distiller over length-prefixed packet records.
+/// Full Distiller over length-prefixed packet records. Traps when a whole
+/// datagram's SIP footprint or parse-error cell differs from the reference
+/// oracle's.
 int fuzz_distiller(const uint8_t* data, size_t size);
 
 /// Whole single-threaded engine (distiller + trails + events + rules) over

@@ -21,15 +21,19 @@ class Ipv4Address {
       : value_(static_cast<uint32_t>(a) << 24 | static_cast<uint32_t>(b) << 16 |
                static_cast<uint32_t>(c) << 8 | d) {}
 
+  /// Dotted quad: exactly four '.'-separated decimal octets. Allocation-free
+  /// (the Distiller parses SDP and Contact addresses with it per packet).
   static std::optional<Ipv4Address> parse(std::string_view s) {
-    auto parts = str::split(s, '.');
-    if (parts.size() != 4) return std::nullopt;
+    str::Fields parts(s, '.');
+    std::string_view part;
     uint32_t v = 0;
-    for (auto part : parts) {
+    int count = 0;
+    while (parts.next(part)) {
       auto octet = str::parse_u32(part);
-      if (!octet || *octet > 255) return std::nullopt;
+      if (++count > 4 || !octet || *octet > 255) return std::nullopt;
       v = (v << 8) | *octet;
     }
+    if (count != 4) return std::nullopt;
     return Ipv4Address(v);
   }
 

@@ -24,13 +24,17 @@ Packet make_udp_packet(Endpoint src, Endpoint dst, const Bytes& payload, uint16_
 Result<UdpPacketView> parse_udp_packet(std::span<const uint8_t> datagram) {
   auto ip = parse_ipv4(datagram);
   if (!ip) return ip.error();
-  if (ip.value().header.is_fragment())
+  return parse_udp_packet(ip.value());
+}
+
+Result<UdpPacketView> parse_udp_packet(const Ipv4View& ip) {
+  if (ip.header.is_fragment())
     return Error{Errc::kState, "fragment: reassemble before transport parse"};
-  if (ip.value().header.protocol != kProtoUdp) return Error{Errc::kUnsupported, "not UDP"};
-  auto udp = parse_udp(ip.value().payload, ip.value().header.src, ip.value().header.dst);
+  if (ip.header.protocol != kProtoUdp) return Error{Errc::kUnsupported, "not UDP"};
+  auto udp = parse_udp(ip.payload, ip.header.src, ip.header.dst);
   if (!udp) return udp.error();
   UdpPacketView v;
-  v.ip = ip.value().header;
+  v.ip = ip.header;
   v.src_port = udp.value().src_port;
   v.dst_port = udp.value().dst_port;
   v.payload = udp.value().payload;

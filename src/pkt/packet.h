@@ -42,5 +42,8 @@ struct UdpPacketView {
 /// Parse IPv4+UDP in one step (checksums verified). Fails on fragments;
 /// callers must reassemble first (see pkt/fragment.h).
 Result<UdpPacketView> parse_udp_packet(std::span<const uint8_t> datagram);
+/// The UDP half of the above, for a datagram whose IPv4 header the caller
+/// already parsed and validated.
+Result<UdpPacketView> parse_udp_packet(const Ipv4View& ip);
 
 }  // namespace scidive::pkt

@@ -6,6 +6,7 @@
 #include "rtp/rtcp.h"
 #include "rtp/rtp.h"
 #include "sip/auth.h"
+#include "sip/headers.h"
 #include "sip/sdp.h"
 #include "voip/accounting.h"
 
@@ -53,9 +54,9 @@ std::optional<Footprint> Distiller::distill(const pkt::Packet& packet) {
     stats_.parse_errors.record(ParseProto::kIpv4, ip.error().code);
     return std::nullopt;
   }
-  std::span<const uint8_t> datagram = packet.data;
   Bytes reassembled;
-  if (ip.value().header.is_fragment()) {
+  const bool fragment = ip.value().header.is_fragment();
+  if (fragment) {
     auto whole = reassembler_.push(packet.data, packet.timestamp);
     if (!whole) {
       if (whole.error().code == Errc::kState) {
@@ -67,10 +68,11 @@ std::optional<Footprint> Distiller::distill(const pkt::Packet& packet) {
       return std::nullopt;
     }
     reassembled = std::move(whole.value());
-    datagram = reassembled;
     ++stats_.datagrams_reassembled;
   }
-  auto udp = pkt::parse_udp_packet(datagram);
+  // A whole datagram's IPv4 header was validated above; only a reassembled
+  // one needs parsing again.
+  auto udp = fragment ? pkt::parse_udp_packet(reassembled) : pkt::parse_udp_packet(ip.value());
   if (!udp) {
     ++stats_.undecodable;
     stats_.parse_errors.record(ParseProto::kUdp, udp.error().code);
@@ -124,49 +126,81 @@ std::optional<RtpPeek> Distiller::peek_rtp(const pkt::Packet& packet) const {
                  packet.timestamp};
 }
 
-SipFootprint Distiller::decode_sip(const sip::SipMessage& msg) {
-  SipFootprint s;
-  s.is_request = msg.is_request();
-  if (msg.is_request()) {
-    s.method = msg.method_text();
+namespace {
+
+/// From/To: the AOR and tag of a name-addr field; false when the field is
+/// absent or does not parse.
+bool read_party(std::optional<std::string_view> field, std::string& aor, std::string& tag) {
+  if (!field) return false;
+  auto party = sip::parse_name_addr_view(*field);
+  if (!party.ok()) return false;
+  party.value().uri.append_address_of_record(aor);
+  if (auto t = party.value().tag()) tag = *t;
+  return true;
+}
+
+}  // namespace
+
+sip::ParseStatus distill_sip(std::string_view payload, sip::MessageView& scan,
+                             SipFootprint& s) {
+  using sip::KnownHeader;
+  const sip::ParseStatus status = scan.scan(payload);
+  if (!status.ok()) {
+    s.well_formed = false;
+    s.is_request = true;
+    s.method = "<unparseable>";
+    return status;
+  }
+  s.is_request = scan.is_request();
+  if (s.is_request) {
+    s.method = scan.method_text();
   } else {
-    s.status_code = msg.status_code();
+    s.status_code = scan.status_code();
   }
-  auto cs = msg.cseq();
-  if (cs.ok()) {
-    s.cseq = cs.value().number;
-    s.cseq_method = cs.value().method;
+
+  bool cseq_ok = false;
+  std::string_view cseq_method;
+  if (auto field = scan.get(KnownHeader::kCSeq)) {
+    if (auto cs = sip::parse_cseq_view(*field); cs.ok()) {
+      cseq_ok = true;
+      cseq_method = cs.value().method;
+      s.cseq = cs.value().number;
+      s.cseq_method = cseq_method;
+    }
   }
-  s.call_id = msg.call_id().value_or("");
-  auto from = msg.from();
-  if (from.ok()) {
-    s.from_aor = from.value().uri.address_of_record();
-    s.from_tag = from.value().tag().value_or("");
-  }
-  auto to = msg.to();
-  if (to.ok()) {
-    s.to_aor = to.value().uri.address_of_record();
-    s.to_tag = to.value().tag().value_or("");
-  }
-  s.well_formed = msg.well_formed();
-  if (auto auth = msg.headers().get("Authorization")) {
+  const auto call_id = scan.get(KnownHeader::kCallId);
+  if (call_id) s.call_id = str::trim(*call_id);
+  const bool from_ok = read_party(scan.get(KnownHeader::kFrom), s.from_aor, s.from_tag);
+  const bool to_ok = read_party(scan.get(KnownHeader::kTo), s.to_aor, s.to_tag);
+  bool via_ok = false;
+  if (auto field = scan.get(KnownHeader::kVia))
+    via_ok = sip::parse_via_view(sip::top_via_value(*field)).ok();
+  // SipMessage::well_formed(): To, From, CSeq, Call-ID and the top Via
+  // present and parsing, and a request's CSeq naming its own method.
+  s.well_formed = call_id && cseq_ok && from_ok && to_ok && via_ok &&
+                  (!s.is_request || cseq_method == scan.method_text());
+
+  if (auto auth = scan.get(KnownHeader::kAuthorization)) {
     s.has_auth = true;
-    auto creds = sip::DigestCredentials::parse(*auth);
-    if (creds.ok()) s.auth_response = creds.value().response;
+    auto creds = sip::parse_digest_view(*auth);
+    if (creds.ok() && creds.value().has_credentials()) s.auth_response = *creds.value().response;
   }
-  s.has_challenge = msg.headers().has("WWW-Authenticate");
-  s.body_len = msg.body().size();
-  auto sdp = sip::Sdp::parse(msg.body());
-  if (sdp.ok() && sdp.value().audio() != nullptr) {
+  s.has_challenge = scan.has(KnownHeader::kWwwAuthenticate);
+  s.body_len = scan.body().size();
+  auto sdp = sip::parse_sdp_view(scan.body());
+  if (sdp.ok() && sdp.value().audio_port) {
     if (auto ip = pkt::Ipv4Address::parse(sdp.value().connection_addr))
-      s.sdp_media = pkt::Endpoint{*ip, sdp.value().audio()->port};
+      s.sdp_media = pkt::Endpoint{*ip, *sdp.value().audio_port};
   }
-  auto contact = msg.contact();
-  if (contact.ok()) {
-    if (auto ip = pkt::Ipv4Address::parse(contact.value().uri.host()))
-      s.contact = pkt::Endpoint{*ip, contact.value().uri.port_or_default()};
+  if (auto field = scan.get(KnownHeader::kContact)) {
+    auto contact = sip::parse_name_addr_view(*field);
+    if (contact.ok()) {
+      const sip::UriView& uri = contact.value().uri;
+      if (auto ip = pkt::Ipv4Address::parse(uri.host))
+        s.contact = pkt::Endpoint{*ip, uri.port != 0 ? uri.port : uint16_t{5060}};
+    }
   }
-  return s;
+  return status;
 }
 
 Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t wire_len) {
@@ -200,21 +234,17 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
   }
 
   if (sip_port) {
-    auto msg = sip::SipMessage::parse(udp.payload);
-    if (msg.ok()) {
-      fp.protocol = Protocol::kSip;
-      fp.data = decode_sip(msg.value());
-      return fp;
-    }
+    // The footprint's box is the one allocation: its fields are filled in
+    // place from the scan's views.
+    Box<SipFootprint> sip(std::in_place);
+    std::string_view text(reinterpret_cast<const char*>(udp.payload.data()),
+                          udp.payload.size());
     // A SIP-port packet that does not parse is itself a signal (malformed
     // SIP is event material for the billing-fraud rule).
-    stats_.parse_errors.record(ParseProto::kSip, msg.error().code);
+    if (auto status = distill_sip(text, sip_scan_, *sip); !status.ok())
+      stats_.parse_errors.record(ParseProto::kSip, status.code);
     fp.protocol = Protocol::kSip;
-    SipFootprint s;
-    s.well_formed = false;
-    s.is_request = true;
-    s.method = "<unparseable>";
-    fp.data = s;
+    fp.data = std::move(sip);
     return fp;
   }
 

@@ -7,6 +7,12 @@
 // Classification is defensive: the IDS sees raw bytes only, so the decoder
 // is driven by port conventions with content-based verification, and
 // arbitrary garbage degrades to UnknownFootprint instead of failing.
+//
+// SIP, the signaling plane, is read in one pass: distill_sip scans the UDP
+// payload into a reused sip::MessageView (start-line and header views into
+// the packet) and reads each footprint field once through the sip view
+// cores, allocating nothing but the footprint itself. The SIP grammar it
+// applies is SipMessage::parse's, which is the same scan plus a copy.
 #pragma once
 
 #include <optional>
@@ -80,6 +86,18 @@ struct RtpPeek {
   SimTime time = 0;
 };
 
+/// The SIP half of the Distiller. One scan of a SIP-port UDP payload into
+/// `scan` (a buffer the caller keeps and reuses), then each footprint field
+/// read once from the scan's views into the default-constructed `out`: the
+/// AOR and tag of From and To, the top Via's validity, the CSeq, the digest
+/// `response`, and the SDP c= address and first m=audio port (only when the
+/// whole body validates as Sdp::parse would). Nothing is allocated beyond
+/// strings too long for the small-string buffer. On a scan failure `out`
+/// becomes the unparseable footprint (method "<unparseable>") and the
+/// failure is returned for the caller's parse-error accounting.
+sip::ParseStatus distill_sip(std::string_view payload, sip::MessageView& scan,
+                             SipFootprint& out);
+
 class Distiller {
  public:
   Distiller() : Distiller(DistillerConfig{}) {}
@@ -101,11 +119,11 @@ class Distiller {
 
  private:
   Footprint decode(const pkt::UdpPacketView& udp, SimTime time, size_t wire_len);
-  static SipFootprint decode_sip(const sip::SipMessage& msg);
 
   DistillerConfig config_;
   pkt::Ipv4Reassembler reassembler_;
   DistillerStats stats_;
+  sip::MessageView sip_scan_;  // reused by every SIP packet
 };
 
 }  // namespace scidive::core

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "capture/packet_source.h"
@@ -104,6 +105,15 @@ class ScidiveEngine {
  public:
   ScidiveEngine() : ScidiveEngine(EngineConfig{}) {}
   explicit ScidiveEngine(EngineConfig config);
+
+  // Self-referential: the EventGenerator holds a reference to this engine's
+  // TrailManager, and the verdict callback and the TrailManager rebind hook
+  // capture `this`. A copied or moved engine would call into the original,
+  // so neither is allowed; hold engines by pointer to hand them around.
+  ScidiveEngine(const ScidiveEngine&) = delete;
+  ScidiveEngine& operator=(const ScidiveEngine&) = delete;
+  ScidiveEngine(ScidiveEngine&&) = delete;
+  ScidiveEngine& operator=(ScidiveEngine&&) = delete;
 
   /// Feed one captured packet (fragment-level; reassembly is internal).
   /// Returns the enforcement decision for the packet: always kPass when the
@@ -346,5 +356,8 @@ class ScidiveEngine {
   obs::Counter* ledger_dropped_ = nullptr;
   obs::Gauge* ledger_size_ = nullptr;
 };
+
+static_assert(!std::is_move_constructible_v<ScidiveEngine>);
+static_assert(!std::is_copy_constructible_v<ScidiveEngine>);
 
 }  // namespace scidive::core

@@ -22,7 +22,11 @@ enum class Protocol { kSip, kRtp, kRtcp, kAcc, kH225, kRas, kUnknown };
 
 std::string_view protocol_name(Protocol p);
 
-/// Decoded summary of one SIP message.
+/// Decoded summary of one SIP message. The Distiller builds it once, in
+/// place, from a single view scan of the payload (core::distill_sip): each
+/// field is read from the message exactly once and no owning SipMessage is
+/// made, so a footprint costs its box plus any string longer than the
+/// small-string buffer.
 struct SipFootprint {
   bool is_request = true;
   std::string method;        // "INVITE", "BYE", ... (requests)

@@ -4,6 +4,7 @@
 
 #include "h323/q931.h"
 #include "h323/ras.h"
+#include "common/strings.h"
 #include "sip/message.h"
 #include "sip/sdp.h"
 #include "voip/accounting.h"
@@ -121,21 +122,25 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
   const bool sip_port = config_.sip_ports.contains(peek->src.port) ||
                         config_.sip_ports.contains(peek->dst.port);
   if (sip_port) {
-    auto msg = sip::SipMessage::parse(peek->payload);
-    if (!msg.ok()) {
+    if (!sip_scan_.scan(peek->payload).ok()) {
       // Unparseable SIP shares the "sip-anon" session on every engine.
       ++stats_.by_call_id;
       return session_shard("sip-anon");
     }
-    const sip::SipMessage& m = msg.value();
-    std::string cseq_method;
-    if (auto cs = m.cseq(); cs.ok()) {
+    const sip::MessageView& m = sip_scan_;
+    std::string_view cseq_method;
+    auto cs = sip::parse_cseq_view(m.get(sip::KnownHeader::kCSeq).value_or(""));
+    if (cs.ok()) {
       cseq_method = cs.value().method;
     } else if (m.is_request()) {
       cseq_method = m.method_text();
     }
-    std::string from_aor;
-    if (auto from = m.from(); from.ok()) from_aor = from.value().uri.address_of_record();
+    from_aor_.clear();
+    if (auto from = m.get(sip::KnownHeader::kFrom)) {
+      if (auto na = sip::parse_name_addr_view(*from); na.ok())
+        na.value().uri.append_address_of_record(from_aor_);
+    }
+    const std::string_view call_id = str::trim(m.get(sip::KnownHeader::kCallId).value_or(""));
 
     size_t shard;
     // REGISTER and MESSAGE feed per-principal rule state (the registration
@@ -149,26 +154,25 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     const bool by_principal =
         cseq_method == "REGISTER" || cseq_method == "MESSAGE" ||
         (config_.route_invite_by_caller && cseq_method == "INVITE");
-    if (by_principal && !from_aor.empty()) {
+    if (by_principal && !from_aor_.empty()) {
       ++stats_.by_principal;
-      shard = shard_of_key(from_aor);
+      shard = shard_of_key(from_aor_);
       // This call-id's trails live wherever the principal's state lives;
       // pin the session so the rebalancer never separates them.
-      if (auto cid = m.call_id(); cid && !cid->empty()) {
-        const uint64_t cid_hash = ShardDirectory::key_hash(*cid);
+      if (!call_id.empty()) {
+        const uint64_t cid_hash = ShardDirectory::key_hash(call_id);
         directory_->mark_principal_routed(cid_hash);
         if (cseq_method == "INVITE" || config_.pin_principal_call_ids)
           directory_->set_override(cid_hash, static_cast<uint32_t>(shard));
       }
     } else {
       ++stats_.by_call_id;
-      std::string call_id = m.call_id().value_or("");
       shard = session_shard(call_id.empty() ? std::string_view("sip-anon") : call_id);
     }
-    auto sdp = sip::Sdp::parse(m.body());
-    if (sdp.ok() && sdp.value().audio() != nullptr) {
+    auto sdp = sip::parse_sdp_view(m.body());
+    if (sdp.ok() && sdp.value().audio_port) {
       if (auto ip = pkt::Ipv4Address::parse(sdp.value().connection_addr))
-        learn_media({*ip, sdp.value().audio()->port}, shard);
+        learn_media({*ip, *sdp.value().audio_port}, shard);
     }
     return shard;
   }

@@ -33,11 +33,13 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <string_view>
 
 #include "pkt/fragment.h"
 #include "pkt/packet.h"
 #include "scidive/shard_directory.h"
+#include "sip/message.h"
 
 namespace scidive::core {
 
@@ -122,6 +124,8 @@ class ShardRouter {
   ShardDirectory* directory_;
   std::unique_ptr<ShardDirectory> owned_directory_;  // standalone mode only
   ShardRouterStats stats_;
+  sip::MessageView sip_scan_;  // reused by every SIP packet
+  std::string from_aor_;       // scratch principal key
 };
 
 }  // namespace scidive::core

@@ -315,6 +315,7 @@ void TrailManager::install_session(ExtractedSession&& moved) {
 }
 
 size_t TrailManager::expire_idle(SimTime cutoff) {
+  std::vector<Symbol> emptied;
   size_t dropped = trails_.erase_if([&](const uint64_t&, Trail*& trail) {
     if (trail->last_time() >= cutoff) return false;
     const Symbol sym = trail->sym();
@@ -323,13 +324,28 @@ size_t TrailManager::expire_idle(SimTime cutoff) {
       trail->~Trail();
       // The arena (and every byte the session's trails ever allocated) is
       // reclaimed in one release once the last trail expires.
-      if ((*slot)->trails.empty()) sessions_.erase(sym);
+      if ((*slot)->trails.empty()) {
+        sessions_.erase(sym);
+        emptied.push_back(sym);
+      }
     } else {
       trail->~Trail();
     }
     ++stats_.trails_expired;
     return true;
   });
+  // A session that is gone takes its media bindings with it, as in
+  // extract_session: otherwise the binding table grows with history and
+  // RTP to a stale endpoint would re-create the expired call. Unbinding
+  // goes through media_rebound so the engine's fast path drops the flows.
+  if (!emptied.empty()) {
+    std::sort(emptied.begin(), emptied.end());
+    std::vector<pkt::Endpoint> stale;
+    media_to_session_.for_each([&](const pkt::Endpoint& ep, const Symbol& bound) {
+      if (std::binary_search(emptied.begin(), emptied.end(), bound)) stale.push_back(ep);
+    });
+    for (const pkt::Endpoint& ep : stale) unbind_media_endpoint(ep);
+  }
   // Expired trails may still be referenced by cached media routes.
   if (dropped != 0) clear_media_routes();
   return dropped;

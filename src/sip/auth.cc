@@ -8,47 +8,50 @@ namespace {
 
 std::string quote(std::string_view s) { return "\"" + std::string(s) + "\""; }
 
-/// Parse `Digest key="value", key2="value2", ...` into a map.
-Result<std::map<std::string, std::string, std::less<>>> parse_digest_params(
-    std::string_view header_value) {
+}  // namespace
+
+Parsed<DigestView> parse_digest_view(std::string_view header_value) {
   header_value = str::trim(header_value);
   if (!str::istarts_with(header_value, "Digest"))
-    return Error{Errc::kUnsupported, "not a Digest header"};
+    return ParseStatus{Errc::kUnsupported, "not a Digest header"};
   header_value.remove_prefix(6);
 
-  std::map<std::string, std::string, std::less<>> params;
-  for (auto part : str::split(header_value, ',')) {
+  DigestView params;
+  str::Fields parts(header_value, ',');
+  std::string_view part;
+  while (parts.next(part)) {
     part = str::trim(part);
     if (part.empty()) continue;
     auto eq = str::split_once(part, '=');
-    if (!eq) return Error{Errc::kMalformed, "digest param without '='"};
+    if (!eq) return ParseStatus{Errc::kMalformed, "digest param without '='"};
     std::string_view key = str::trim(eq->first);
-    std::string_view value = str::trim(eq->second);
-    if (value.size() >= 2 && value.front() == '"' && value.back() == '"')
-      value = value.substr(1, value.size() - 2);
-    if (key.empty()) return Error{Errc::kMalformed, "empty digest param name"};
-    params[str::to_lower(key)] = std::string(value);
+    std::string_view value = unquote(str::trim(eq->second));
+    if (key.empty()) return ParseStatus{Errc::kMalformed, "empty digest param name"};
+    if (str::iequals(key, "username")) {
+      params.username = value;
+    } else if (str::iequals(key, "realm")) {
+      params.realm = value;
+    } else if (str::iequals(key, "nonce")) {
+      params.nonce = value;
+    } else if (str::iequals(key, "uri")) {
+      params.uri = value;
+    } else if (str::iequals(key, "response")) {
+      params.response = value;
+    }
   }
   return params;
 }
-
-}  // namespace
 
 std::string DigestChallenge::to_header_value() const {
   return "Digest realm=" + quote(realm) + ", nonce=" + quote(nonce) + ", algorithm=MD5";
 }
 
 Result<DigestChallenge> DigestChallenge::parse(std::string_view header_value) {
-  auto params = parse_digest_params(header_value);
-  if (!params) return params.error();
-  DigestChallenge c;
-  auto realm = params.value().find("realm");
-  auto nonce = params.value().find("nonce");
-  if (realm == params.value().end() || nonce == params.value().end())
-    return Error{Errc::kMalformed, "challenge needs realm and nonce"};
-  c.realm = realm->second;
-  c.nonce = nonce->second;
-  return c;
+  auto view = parse_digest_view(header_value);
+  if (!view.ok()) return view.error();
+  const DigestView& p = view.value();
+  if (!p.realm || !p.nonce) return Error{Errc::kMalformed, "challenge needs realm and nonce"};
+  return DigestChallenge{std::string(*p.realm), std::string(*p.nonce)};
 }
 
 std::string DigestCredentials::to_header_value() const {
@@ -57,20 +60,18 @@ std::string DigestCredentials::to_header_value() const {
 }
 
 Result<DigestCredentials> DigestCredentials::parse(std::string_view header_value) {
-  auto params = parse_digest_params(header_value);
-  if (!params) return params.error();
-  DigestCredentials c;
-  const auto& p = params.value();
-  for (const char* required : {"username", "realm", "nonce", "uri", "response"}) {
-    if (!p.contains(required))
-      return Error{Errc::kMalformed, std::string("credentials missing ") + required};
+  auto view = parse_digest_view(header_value);
+  if (!view.ok()) return view.error();
+  const DigestView& p = view.value();
+  const std::pair<const char*, const std::optional<std::string_view>*> required[] = {
+      {"username", &p.username}, {"realm", &p.realm}, {"nonce", &p.nonce},
+      {"uri", &p.uri},           {"response", &p.response}};
+  for (const auto& [name, value] : required) {
+    if (!*value) return Error{Errc::kMalformed, std::string("credentials missing ") + name};
   }
-  c.username = p.find("username")->second;
-  c.realm = p.find("realm")->second;
-  c.nonce = p.find("nonce")->second;
-  c.uri = p.find("uri")->second;
-  c.response = p.find("response")->second;
-  return c;
+  return DigestCredentials{std::string(*p.username), std::string(*p.realm),
+                           std::string(*p.nonce), std::string(*p.uri),
+                           std::string(*p.response)};
 }
 
 std::string compute_digest_response(std::string_view username, std::string_view realm,

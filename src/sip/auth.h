@@ -8,14 +8,32 @@
 // §3.3 brute-forces the `response` field against a fixed nonce.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "common/result.h"
+#include "sip/parsed.h"
 
 namespace scidive::sip {
+
+/// The digest params of a validated `Digest k="v", ...` header, located in
+/// the caller's buffer (the view core of the challenge and credentials
+/// parsers). Keys match case-insensitively, values are unquoted, and the
+/// last occurrence of a key wins; a param that never appeared is nullopt.
+struct DigestView {
+  std::optional<std::string_view> username;
+  std::optional<std::string_view> realm;
+  std::optional<std::string_view> nonce;
+  std::optional<std::string_view> uri;
+  std::optional<std::string_view> response;
+
+  /// Every param DigestCredentials::parse requires is present.
+  bool has_credentials() const { return username && realm && nonce && uri && response; }
+};
+
+/// Validate `header_value` as a Digest param list; no allocation.
+Parsed<DigestView> parse_digest_view(std::string_view header_value);
 
 /// WWW-Authenticate challenge parameters.
 struct DigestChallenge {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "sip/parsed.h"
 #include "sip/uri.h"
 
 namespace scidive::sip {
@@ -21,6 +22,25 @@ struct HeaderField {
 
 /// Canonical (long) header name for a possibly-compact form ("v" -> "Via").
 std::string_view canonical_header_name(std::string_view name);
+
+/// The headers the IDS reads, told apart once per field by the message
+/// scan (compact forms included) so later lookups are an array index.
+enum class KnownHeader : uint8_t {
+  kVia,
+  kFrom,
+  kTo,
+  kCallId,
+  kCSeq,
+  kContact,
+  kContentLength,
+  kAuthorization,
+  kWwwAuthenticate,
+  kOther,
+};
+constexpr size_t kKnownHeaderCount = static_cast<size_t>(KnownHeader::kOther);
+
+/// Classify a header name, case-insensitively and compact-form aware.
+KnownHeader known_header(std::string_view name);
 
 /// Ordered multi-map of header fields with case-insensitive, compact-form
 /// aware lookup.
@@ -45,6 +65,22 @@ class Headers {
   std::vector<HeaderField> fields_;
 };
 
+/// A validated name-addr located in the caller's buffer (the view core of
+/// NameAddr::parse).
+struct NameAddrView {
+  std::string_view display_name;  // quotes stripped
+  UriView uri;
+  std::string_view params;  // header params after the URI, ';'-separated
+
+  /// A header param as NameAddr::params holds it: key and value trimmed,
+  /// "" for a bare name, and the last occurrence wins.
+  std::optional<std::string_view> param(std::string_view name) const;
+  std::optional<std::string_view> tag() const { return param("tag"); }
+};
+
+/// Validate `text` as [display-name] <uri> ;params or addr-spec ;params.
+Parsed<NameAddrView> parse_name_addr_view(std::string_view text);
+
 /// From/To/Contact style: [display-name] <uri> ;params   (tag lives here).
 struct NameAddr {
   std::string display_name;
@@ -62,6 +98,21 @@ struct NameAddr {
   void set_tag(std::string tag) { params["tag"] = std::move(tag); }
 };
 
+/// A validated Via value located in the caller's buffer (the view core of
+/// Via::parse).
+struct ViaView {
+  std::string_view transport;
+  std::string_view host;
+  uint16_t port = 5060;
+  std::string_view params;  // raw text after the first ';'
+};
+
+/// Validate `text` as one Via value: SIP/2.0/<transport> host[:port][;params].
+Parsed<ViaView> parse_via_view(std::string_view text);
+
+/// The first (topmost) Via of a field: several Vias may be comma-joined.
+std::string_view top_via_value(std::string_view field);
+
 /// Via: SIP/2.0/UDP host:port;branch=z9hG4bK...;params
 struct Via {
   std::string transport = "UDP";
@@ -78,6 +129,15 @@ struct Via {
     return it->second;
   }
 };
+
+/// A validated CSeq value; `method` views the caller's buffer.
+struct CSeqView {
+  uint32_t number = 0;
+  std::string_view method;
+};
+
+/// Validate `text` as "number METHOD".
+Parsed<CSeqView> parse_cseq_view(std::string_view text);
 
 /// CSeq: 42 INVITE
 struct CSeq {

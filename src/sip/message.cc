@@ -53,100 +53,127 @@ Result<SipMessage> SipMessage::parse(std::span<const uint8_t> bytes) {
   return parse(std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
-namespace {
-
 /// Pop one header line, honoring RFC 2822-style folding (continuation lines
 /// begin with whitespace). Unfolded lines — the overwhelming common case —
 /// are returned as a view into the input; only a folded line is assembled
-/// into `fold_buf` (the returned view then points at the buffer).
-std::optional<std::string_view> next_logical_line(std::string_view& text,
-                                                  std::string& fold_buf) {
+/// into `folds_` (the returned view then points into it).
+std::optional<std::string_view> MessageView::next_logical_line(std::string_view& text) {
   if (text.empty()) return std::nullopt;
-  std::string_view first;
-  {
+  auto pop_line = [&text] {
+    std::string_view line;
     size_t eol = str::find_crlf(text);
     if (eol == std::string_view::npos) {
-      first = text;
+      line = text;
       text = {};
     } else {
-      first = text.substr(0, eol);
+      line = text.substr(0, eol);
       text.remove_prefix(eol + 2);
     }
-  }
+    return line;
+  };
+  std::string_view first = pop_line();
   if (text.empty() || (text.front() != ' ' && text.front() != '\t')) {
     return first;  // zero-copy fast path
   }
-  fold_buf.assign(first);
-  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
-    size_t eol = str::find_crlf(text);
-    std::string_view raw;
-    if (eol == std::string_view::npos) {
-      raw = text;
-      text = {};
-    } else {
-      raw = text.substr(0, eol);
-      text.remove_prefix(eol + 2);
-    }
-    fold_buf += raw;
-  }
-  return std::string_view(fold_buf);
+  // Unfolded lines are disjoint pieces of the text, so all of a scan's
+  // folds fit in scan_size_ bytes: this reserve happens at most once per
+  // scan, before any view into folds_ exists.
+  if (folds_.capacity() < scan_size_) folds_.reserve(scan_size_);
+  const size_t begin = folds_.size();
+  folds_ += first;
+  while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) folds_ += pop_line();
+  return std::string_view(folds_).substr(begin);
 }
 
-}  // namespace
+ParseStatus MessageView::scan(std::string_view text) {
+  is_request_ = true;
+  method_ = Method::kUnknown;
+  method_text_ = {};
+  request_uri_ = {};
+  status_code_ = 0;
+  reason_ = {};
+  headers_.clear();
+  first_.fill(0);
+  body_ = {};
+  folds_.clear();
+  scan_size_ = text.size();
 
-Result<SipMessage> SipMessage::parse(std::string_view text) {
-  SipMessage msg;
-  std::string fold_buf;
-
-  auto start = next_logical_line(text, fold_buf);
-  if (!start || start->empty()) return Error{Errc::kMalformed, "missing start line"};
+  auto start = next_logical_line(text);
+  if (!start || start->empty()) return {Errc::kMalformed, "missing start line"};
 
   if (str::istarts_with(*start, "SIP/2.0 ")) {
     // Status line: SIP/2.0 code reason
-    msg.is_request_ = false;
+    is_request_ = false;
     std::string_view rest = start->substr(8);
     auto sp = str::split_once(rest, ' ');
     std::string_view code_text = sp ? sp->first : rest;
     auto code = str::parse_u32(str::trim(code_text));
-    if (!code || *code < 100 || *code > 699)
-      return Error{Errc::kMalformed, "bad status code"};
-    msg.status_code_ = static_cast<int>(*code);
-    msg.reason_ = sp ? std::string(str::trim(sp->second)) : "";
+    if (!code || *code < 100 || *code > 699) return {Errc::kMalformed, "bad status code"};
+    status_code_ = static_cast<int>(*code);
+    if (sp) reason_ = str::trim(sp->second);
   } else {
-    // Request line: METHOD uri SIP/2.0
-    auto parts = str::split(*start, ' ');
-    if (parts.size() != 3) return Error{Errc::kMalformed, "request line needs 3 tokens"};
-    if (parts[2] != "SIP/2.0") return Error{Errc::kUnsupported, "not SIP/2.0"};
-    if (parts[0].empty()) return Error{Errc::kMalformed, "empty method"};
-    msg.method_text_ = std::string(parts[0]);
-    msg.method_ = method_from_name(parts[0]);
-    auto uri = SipUri::parse(parts[1]);
-    if (!uri) return uri.error();
-    msg.request_uri_ = std::move(uri.value());
+    // Request line: METHOD uri SIP/2.0, exactly three tokens.
+    str::Fields fields(*start, ' ');
+    std::string_view parts[4];
+    size_t n = 0;
+    while (n < 4 && fields.next(parts[n])) ++n;
+    if (n != 3) return {Errc::kMalformed, "request line needs 3 tokens"};
+    if (parts[2] != "SIP/2.0") return {Errc::kUnsupported, "not SIP/2.0"};
+    if (parts[0].empty()) return {Errc::kMalformed, "empty method"};
+    method_text_ = parts[0];
+    method_ = method_from_name(parts[0]);
+    auto uri = parse_uri_view(parts[1]);
+    if (!uri.ok()) return uri.status();
+    request_uri_ = uri.value();
   }
 
   // Headers until the empty line.
+  if (headers_.capacity() == 0) headers_.reserve(16);
   while (true) {
-    auto line = next_logical_line(text, fold_buf);
-    if (!line) return Error{Errc::kTruncated, "no end of headers"};
+    auto line = next_logical_line(text);
+    if (!line) return {Errc::kTruncated, "no end of headers"};
     if (line->empty()) break;
     auto colon = str::split_once(*line, ':');
-    if (!colon) return Error{Errc::kMalformed, "header without colon: " + std::string(*line)};
+    if (!colon) return {Errc::kMalformed, "header without colon: ", *line};
     std::string_view name = str::trim(colon->first);
-    if (name.empty()) return Error{Errc::kMalformed, "empty header name"};
-    msg.headers_.add(std::string(name), std::string(str::trim(colon->second)));
+    if (name.empty()) return {Errc::kMalformed, "empty header name"};
+    const KnownHeader known = known_header(name);
+    headers_.push_back({name, str::trim(colon->second)});
+    if (known != KnownHeader::kOther && first_[static_cast<size_t>(known)] == 0)
+      first_[static_cast<size_t>(known)] = static_cast<uint32_t>(headers_.size());
   }
 
   // Body: take Content-Length if present and valid, else the rest.
-  if (auto cl_text = msg.headers_.get("Content-Length")) {
+  if (auto cl_text = get(KnownHeader::kContentLength)) {
     auto cl = str::parse_u64(str::trim(*cl_text));
-    if (!cl) return Error{Errc::kMalformed, "bad Content-Length"};
-    if (*cl > text.size()) return Error{Errc::kTruncated, "body shorter than Content-Length"};
-    msg.body_ = std::string(text.substr(0, *cl));
+    if (!cl) return {Errc::kMalformed, "bad Content-Length"};
+    if (*cl > text.size()) return {Errc::kTruncated, "body shorter than Content-Length"};
+    body_ = text.substr(0, *cl);
   } else {
-    msg.body_ = std::string(text);
+    body_ = text;
   }
-  return msg;
+  return {};
+}
+
+SipMessage::SipMessage(const MessageView& view) : is_request_(view.is_request()) {
+  if (is_request_) {
+    method_ = view.method();
+    method_text_ = std::string(view.method_text());
+    request_uri_ = SipUri(view.request_uri());
+  } else {
+    status_code_ = view.status_code();
+    reason_ = std::string(view.reason());
+  }
+  for (const HeaderView& h : view.headers()) {
+    headers_.add(std::string(h.name), std::string(h.value));
+  }
+  body_ = std::string(view.body());
+}
+
+Result<SipMessage> SipMessage::parse(std::string_view text) {
+  MessageView view;
+  if (ParseStatus status = view.scan(text); !status.ok()) return status.error();
+  return SipMessage(view);
 }
 
 std::string SipMessage::to_string() const {
@@ -216,10 +243,7 @@ Result<NameAddr> SipMessage::contact() const {
 Result<Via> SipMessage::top_via() const {
   auto v = headers_.get("Via");
   if (!v) return Error{Errc::kNotFound, "no Via"};
-  // Multiple Vias may be comma-joined in one field; the top one is first.
-  std::string_view text = *v;
-  if (auto comma = str::split_once(text, ',')) text = comma->first;
-  return Via::parse(text);
+  return Via::parse(top_via_value(*v));
 }
 
 std::optional<uint32_t> SipMessage::expires() const {

@@ -4,68 +4,96 @@
 
 namespace scidive::sip {
 
-Result<Sdp> Sdp::parse(std::string_view text) {
-  Sdp sdp;
+Parsed<SdpView> parse_sdp_view(std::string_view text, std::vector<SdpMedia>* media) {
+  SdpView sdp;
   bool saw_version = false;
-  for (auto raw_line : str::split(text, '\n')) {
+  str::Fields lines(text, '\n');
+  std::string_view raw_line;
+  while (lines.next(raw_line)) {
     std::string_view line = str::trim(raw_line);
     if (line.empty()) continue;
     if (line.size() < 2 || line[1] != '=')
-      return Error{Errc::kMalformed, "SDP line without '='"};
+      return ParseStatus{Errc::kMalformed, "SDP line without '='"};
     char type = line[0];
     std::string_view value = line.substr(2);
     switch (type) {
       case 'v':
-        if (str::trim(value) != "0") return Error{Errc::kUnsupported, "SDP version != 0"};
+        if (str::trim(value) != "0") return ParseStatus{Errc::kUnsupported, "SDP version != 0"};
         saw_version = true;
         break;
       case 'o': {
         // o=<user> <sess-id> <sess-version> IN IP4 <addr>
-        auto parts = str::split(value, ' ');
-        if (parts.size() < 6) return Error{Errc::kMalformed, "short o= line"};
-        sdp.origin_user = std::string(parts[0]);
-        auto sid = str::parse_u64(parts[1]);
-        auto sver = str::parse_u64(parts[2]);
-        if (!sid || !sver) return Error{Errc::kMalformed, "bad o= ids"};
+        str::Fields parts(value, ' ');
+        std::string_view part[6];
+        size_t n = 0;
+        while (n < 6 && parts.next(part[n])) ++n;
+        if (n < 6) return ParseStatus{Errc::kMalformed, "short o= line"};
+        auto sid = str::parse_u64(part[1]);
+        auto sver = str::parse_u64(part[2]);
+        if (!sid || !sver) return ParseStatus{Errc::kMalformed, "bad o= ids"};
+        sdp.origin_user = part[0];
         sdp.session_id = *sid;
         sdp.session_version = *sver;
-        sdp.origin_addr = std::string(parts[5]);
+        sdp.origin_addr = part[5];
         break;
       }
       case 's':
-        sdp.session_name = std::string(value);
+        sdp.session_name = value;
         break;
       case 'c': {
         // c=IN IP4 <addr>
-        auto parts = str::split(value, ' ');
-        if (parts.size() != 3 || parts[0] != "IN" || parts[1] != "IP4")
-          return Error{Errc::kMalformed, "unsupported c= line"};
-        sdp.connection_addr = std::string(parts[2]);
+        str::Fields parts(value, ' ');
+        std::string_view part[4];
+        size_t n = 0;
+        while (n < 4 && parts.next(part[n])) ++n;
+        if (n != 3 || part[0] != "IN" || part[1] != "IP4")
+          return ParseStatus{Errc::kMalformed, "unsupported c= line"};
+        sdp.connection_addr = part[2];
         break;
       }
       case 'm': {
         // m=audio <port> RTP/AVP <pt...>
-        auto parts = str::split(value, ' ');
-        if (parts.size() < 3) return Error{Errc::kMalformed, "short m= line"};
-        SdpMedia m;
-        m.type = std::string(parts[0]);
-        auto port = str::parse_u16(parts[1]);
-        if (!port) return Error{Errc::kMalformed, "bad m= port"};
-        m.port = *port;
-        m.proto = std::string(parts[2]);
-        for (size_t i = 3; i < parts.size(); ++i) {
-          auto pt = str::parse_u32(parts[i]);
-          if (!pt || *pt > 127) return Error{Errc::kMalformed, "bad payload type"};
-          m.payload_types.push_back(static_cast<uint8_t>(*pt));
+        str::Fields parts(value, ' ');
+        std::string_view media_type, port_text, proto;
+        if (!parts.next(media_type) || !parts.next(port_text) || !parts.next(proto))
+          return ParseStatus{Errc::kMalformed, "short m= line"};
+        auto port = str::parse_u16(port_text);
+        if (!port) return ParseStatus{Errc::kMalformed, "bad m= port"};
+        SdpMedia* m = nullptr;
+        if (media != nullptr) {
+          m = &media->emplace_back();
+          m->type = std::string(media_type);
+          m->port = *port;
+          m->proto = std::string(proto);
         }
-        sdp.media.push_back(std::move(m));
+        std::string_view pt_text;
+        while (parts.next(pt_text)) {
+          auto pt = str::parse_u32(pt_text);
+          if (!pt || *pt > 127) return ParseStatus{Errc::kMalformed, "bad payload type"};
+          if (m != nullptr) m->payload_types.push_back(static_cast<uint8_t>(*pt));
+        }
+        if (media_type == "audio" && !sdp.audio_port) sdp.audio_port = *port;
         break;
       }
       default:
         break;  // a=, t=, b= etc.: tolerated, ignored
     }
   }
-  if (!saw_version) return Error{Errc::kMalformed, "missing v=0"};
+  if (!saw_version) return ParseStatus{Errc::kMalformed, "missing v=0"};
+  return sdp;
+}
+
+Result<Sdp> Sdp::parse(std::string_view text) {
+  Sdp sdp;
+  auto view = parse_sdp_view(text, &sdp.media);
+  if (!view.ok()) return view.error();
+  const SdpView& v = view.value();
+  sdp.origin_user = std::string(v.origin_user);
+  sdp.session_id = v.session_id;
+  sdp.session_version = v.session_version;
+  sdp.origin_addr = std::string(v.origin_addr);
+  sdp.session_name = std::string(v.session_name);
+  sdp.connection_addr = std::string(v.connection_addr);
   return sdp;
 }
 

@@ -5,10 +5,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "sip/parsed.h"
 
 namespace scidive::sip {
 
@@ -18,6 +21,22 @@ struct SdpMedia {
   std::string proto = "RTP/AVP";   // transport
   std::vector<uint8_t> payload_types;  // e.g. {0} == PCMU
 };
+
+/// A validated SDP body located in the caller's buffer (the view core of
+/// Sdp::parse): the scalar fields plus what the IDS reads of the media.
+struct SdpView {
+  std::string_view origin_user = "-";
+  uint64_t session_id = 0;
+  uint64_t session_version = 0;
+  std::string_view origin_addr;
+  std::string_view session_name = "-";
+  std::string_view connection_addr;   // the last c= line's address
+  std::optional<uint16_t> audio_port;  // port of the first m=audio line
+};
+
+/// Validate `text` line by line exactly as Sdp::parse does; nothing is
+/// allocated unless `media` is given, which then receives every m= line.
+Parsed<SdpView> parse_sdp_view(std::string_view text, std::vector<SdpMedia>* media = nullptr);
 
 struct Sdp {
   std::string origin_user = "-";

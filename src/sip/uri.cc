@@ -4,55 +4,55 @@
 
 namespace scidive::sip {
 
-Result<SipUri> SipUri::parse(std::string_view text) {
+Parsed<UriView> parse_uri_view(std::string_view text) {
   text = str::trim(text);
   if (!str::istarts_with(text, "sip:"))
-    return Error{Errc::kMalformed, "URI scheme must be sip:"};
+    return ParseStatus{Errc::kMalformed, "URI scheme must be sip:"};
   text.remove_prefix(4);
-  if (text.empty()) return Error{Errc::kMalformed, "empty URI"};
+  if (text.empty()) return ParseStatus{Errc::kMalformed, "empty URI"};
 
-  SipUri uri;
+  UriView uri;
 
   // Split off ;params first (they follow host[:port]).
   std::string_view core = text;
-  std::string_view params;
   if (auto split = str::split_once(text, ';')) {
     core = split->first;
-    params = split->second;
+    uri.params = split->second;
   }
 
   // user@host or just host.
   std::string_view hostport = core;
   if (auto at = str::split_once(core, '@')) {
-    if (at->first.empty()) return Error{Errc::kMalformed, "empty user before @"};
-    uri.user_ = std::string(at->first);
+    if (at->first.empty()) return ParseStatus{Errc::kMalformed, "empty user before @"};
+    uri.user = at->first;
     hostport = at->second;
   }
   if (auto colon = str::split_once(hostport, ':')) {
     auto port = str::parse_u16(colon->second);
-    if (!port || *port == 0) return Error{Errc::kMalformed, "bad port"};
-    uri.port_ = *port;
+    if (!port || *port == 0) return ParseStatus{Errc::kMalformed, "bad port"};
+    uri.port = *port;
     hostport = colon->first;
   }
-  if (hostport.empty()) return Error{Errc::kMalformed, "empty host"};
+  if (hostport.empty()) return ParseStatus{Errc::kMalformed, "empty host"};
   for (char c : hostport) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '.' || c == '-' || c == '_'))
-      return Error{Errc::kMalformed, "bad host character"};
+    if (!(str::is_alnum(c) || c == '.' || c == '-' || c == '_'))
+      return ParseStatus{Errc::kMalformed, "bad host character"};
   }
-  uri.host_ = std::string(hostport);
-
-  if (!params.empty()) {
-    for (auto p : str::split(params, ';')) {
-      p = str::trim(p);
-      if (p.empty()) continue;
-      if (auto eq = str::split_once(p, '=')) {
-        uri.params_[std::string(eq->first)] = std::string(eq->second);
-      } else {
-        uri.params_[std::string(p)] = "";
-      }
-    }
-  }
+  uri.host = hostport;
   return uri;
+}
+
+SipUri::SipUri(const UriView& view)
+    : user_(view.user), host_(view.host), port_(view.port) {
+  for_each_param(view.params, ';', [&](std::string_view key, std::string_view value) {
+    params_[std::string(key)] = std::string(value);
+  });
+}
+
+Result<SipUri> SipUri::parse(std::string_view text) {
+  auto view = parse_uri_view(text);
+  if (!view.ok()) return view.error();
+  return SipUri(view.value());
 }
 
 std::optional<std::string> SipUri::param(std::string_view name) const {

@@ -7,14 +7,39 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "sip/parsed.h"
 
 namespace scidive::sip {
+
+/// A validated SIP URI located in the caller's buffer (the view core of
+/// SipUri::parse).
+struct UriView {
+  std::string_view user;    // empty when there is no user part
+  std::string_view host;
+  uint16_t port = 0;        // 0 = unspecified
+  std::string_view params;  // raw text after the first ';' ("" when none)
+
+  /// Append user@host (or host) to `out`: SipUri::address_of_record().
+  void append_address_of_record(std::string& out) const {
+    out.reserve(out.size() + user.size() + 1 + host.size());
+    if (!user.empty()) {
+      out += user;
+      out += '@';
+    }
+    out += host;
+  }
+};
+
+/// Validate `text` as a sip: URI and locate its parts; no allocation.
+Parsed<UriView> parse_uri_view(std::string_view text);
 
 class SipUri {
  public:
   SipUri() = default;
   SipUri(std::string user, std::string host, uint16_t port = 0)
       : user_(std::move(user)), host_(std::move(host)), port_(port) {}
+  /// Owning copy of a validated view.
+  explicit SipUri(const UriView& view);
 
   static Result<SipUri> parse(std::string_view text);
 

@@ -111,5 +111,47 @@ TEST(InternetChecksum, EmptyIsAllOnes) {
   EXPECT_EQ(internet_checksum({}), 0xffff);
 }
 
+// The word-at-a-time sum must equal the RFC 1071 definition (big-endian
+// 16-bit words, end-around carry) for every length, alignment of the tail,
+// pseudo-header seed and the all-ones / all-zero edge patterns.
+TEST(InternetChecksum, MatchesPairwiseDefinition) {
+  auto pairwise = [](std::span<const uint8_t> data, uint32_t initial) {
+    uint64_t sum = initial;
+    size_t i = 0;
+    for (; i + 1 < data.size(); i += 2) sum += static_cast<uint32_t>(data[i]) << 8 | data[i + 1];
+    if (i < data.size()) sum += static_cast<uint32_t>(data[i]) << 8;
+    while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+    return static_cast<uint16_t>(~sum);
+  };
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (size_t len = 0; len <= 300; ++len) {
+    for (uint8_t fill : {uint8_t{0x00}, uint8_t{0xff}}) {
+      Bytes uniform(len, fill);
+      for (uint32_t initial : {0u, 0xffffu, 0x1fffeu}) {
+        ASSERT_EQ(internet_checksum(uniform, initial), pairwise(uniform, initial))
+            << "len " << len << " fill " << int{fill} << " initial " << initial;
+      }
+    }
+    Bytes random(len);
+    for (uint8_t& b : random) b = static_cast<uint8_t>(next());
+    const auto initial = static_cast<uint32_t>(next() & 0x3ffff);
+    ASSERT_EQ(internet_checksum(random, initial), pairwise(random, initial)) << "len " << len;
+    if (len >= 2) {
+      // Patch in the checksum: the datagram must then verify to zero.
+      random[0] = random[1] = 0;
+      const uint16_t csum = internet_checksum(random);
+      random[0] = static_cast<uint8_t>(csum >> 8);
+      random[1] = static_cast<uint8_t>(csum);
+      ASSERT_EQ(internet_checksum(random), 0) << "len " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scidive

@@ -166,9 +166,11 @@ EngineConfig replay_config(pkt::Ipv4Address home) {
   return config;
 }
 
-ScidiveEngine make_engine(const Scenario& s, std::vector<core::RulePtr> rules) {
-  ScidiveEngine engine(replay_config(s.home));
-  engine.set_rules(std::move(rules));
+// Engines are neither copyable nor movable (their components point at one
+// another), so helpers hand them out on the heap.
+std::unique_ptr<ScidiveEngine> make_engine(const Scenario& s, std::vector<core::RulePtr> rules) {
+  auto engine = std::make_unique<ScidiveEngine>(replay_config(s.home));
+  engine->set_rules(std::move(rules));
   return engine;
 }
 
@@ -191,17 +193,17 @@ TEST(RuledslParity, FourAttacksByteIdenticalAlertsAndLedger) {
   const CompiledRuleset ruleset = load_shipped();
   ASSERT_EQ(ruleset.rules.size(), 5u);
   for (const Scenario& s : table1_scenarios()) {
-    ScidiveEngine cpp_engine = make_engine(s, cpp_ported_rules());
-    ScidiveEngine dsl_engine = make_engine(s, make_rules(ruleset));
+    auto cpp_engine = make_engine(s, cpp_ported_rules());
+    auto dsl_engine = make_engine(s, make_rules(ruleset));
     for (const pkt::Packet& p : s.capture) {
-      cpp_engine.on_packet(p);
-      dsl_engine.on_packet(p);
+      cpp_engine->on_packet(p);
+      dsl_engine->on_packet(p);
     }
-    ASSERT_GE(cpp_engine.alerts().alerts().size(), 1u)
+    ASSERT_GE(cpp_engine->alerts().alerts().size(), 1u)
         << s.rule << ": scenario did not alert";
-    EXPECT_GE(cpp_engine.alerts().count_for_rule(s.rule), 1u) << s.rule;
-    EXPECT_EQ(alert_strings(cpp_engine), alert_strings(dsl_engine)) << s.rule;
-    EXPECT_EQ(ledger_strings(cpp_engine), ledger_strings(dsl_engine)) << s.rule;
+    EXPECT_GE(cpp_engine->alerts().count_for_rule(s.rule), 1u) << s.rule;
+    EXPECT_EQ(alert_strings(*cpp_engine), alert_strings(*dsl_engine)) << s.rule;
+    EXPECT_EQ(ledger_strings(*cpp_engine), ledger_strings(*dsl_engine)) << s.rule;
   }
 }
 
@@ -234,10 +236,10 @@ TEST(RuledslParity, ShardedDslMatchesSingleCppMultiset) {
   // originals — the full "indistinguishable to the engine" claim.
   const CompiledRuleset ruleset = load_shipped();
   for (const Scenario& s : table1_scenarios()) {
-    ScidiveEngine cpp_engine = make_engine(s, cpp_ported_rules());
-    for (const pkt::Packet& p : s.capture) cpp_engine.on_packet(p);
+    auto cpp_engine = make_engine(s, cpp_ported_rules());
+    for (const pkt::Packet& p : s.capture) cpp_engine->on_packet(p);
     std::multiset<std::string> want;
-    for (const core::Alert& a : cpp_engine.alerts().alerts()) {
+    for (const core::Alert& a : cpp_engine->alerts().alerts()) {
       want.insert(a.rule + "|" + a.session + "|" +
                   std::string(core::severity_name(a.severity)) + "|" + a.message);
     }
@@ -332,16 +334,16 @@ TEST(RuledslParity, HotReloadMidStreamLosesAndDoublesNothing) {
   const CompiledRuleset ruleset = load_shipped();
   Scenario s = bye_attack_scenario();
 
-  ScidiveEngine baseline = make_engine(s, make_rules(ruleset));
-  for (const pkt::Packet& p : s.capture) baseline.on_packet(p);
-  ASSERT_GE(baseline.alerts().count_for_rule("bye-attack"), 1u);
+  auto baseline = make_engine(s, make_rules(ruleset));
+  for (const pkt::Packet& p : s.capture) baseline->on_packet(p);
+  ASSERT_GE(baseline->alerts().count_for_rule("bye-attack"), 1u);
 
-  ScidiveEngine reloaded = make_engine(s, make_rules(ruleset));
+  auto reloaded = make_engine(s, make_rules(ruleset));
   for (size_t i = 0; i < s.capture.size(); ++i) {
-    if (i % 7 == 3) reloaded.set_rules(make_rules(ruleset));  // frequent swaps
-    reloaded.on_packet(s.capture[i]);
+    if (i % 7 == 3) reloaded->set_rules(make_rules(ruleset));  // frequent swaps
+    reloaded->on_packet(s.capture[i]);
   }
-  EXPECT_EQ(alert_strings(reloaded), alert_strings(baseline));
+  EXPECT_EQ(alert_strings(*reloaded), alert_strings(*baseline));
 
   // Sharded: reload between flush boundaries mid-stream.
   ShardedEngineConfig sc;
@@ -358,7 +360,7 @@ TEST(RuledslParity, HotReloadMidStreamLosesAndDoublesNothing) {
   sharded.flush();
   std::multiset<std::string> got, want;
   for (const core::Alert& a : sharded.merged_alerts()) got.insert(a.to_string());
-  for (const core::Alert& a : baseline.alerts().alerts()) want.insert(a.to_string());
+  for (const core::Alert& a : baseline->alerts().alerts()) want.insert(a.to_string());
   EXPECT_EQ(got, want);
 }
 
@@ -374,32 +376,32 @@ TEST(RuledslParity, InvalidReloadLeavesRunningRulesetUntouched) {
         << "rule broken { on RtpAfterBye { set ghost = 1; } }\n";
   }
 
-  ScidiveEngine engine = make_engine(s, make_rules(ruleset));
-  ASSERT_EQ(engine.rule_count(), 5u);
+  auto engine = make_engine(s, make_rules(ruleset));
+  ASSERT_EQ(engine->rule_count(), 5u);
 
-  auto bad = reload_from_file(engine, bad_path);
+  auto bad = reload_from_file(*engine, bad_path);
   EXPECT_FALSE(bad.ok());
   EXPECT_FALSE(bad.error().message.empty());
-  EXPECT_EQ(engine.rule_count(), 5u) << "failed reload must not touch the ruleset";
+  EXPECT_EQ(engine->rule_count(), 5u) << "failed reload must not touch the ruleset";
 
-  auto missing = reload_from_file(engine, bad_path + ".does-not-exist");
+  auto missing = reload_from_file(*engine, bad_path + ".does-not-exist");
   EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(engine.rule_count(), 5u);
+  EXPECT_EQ(engine->rule_count(), 5u);
 
   // The untouched rules still detect the attack...
-  for (const pkt::Packet& p : s.capture) engine.on_packet(p);
-  EXPECT_GE(engine.alerts().count_for_rule("bye-attack"), 1u);
+  for (const pkt::Packet& p : s.capture) engine->on_packet(p);
+  EXPECT_GE(engine->alerts().count_for_rule("bye-attack"), 1u);
 
   // ...and the reload accounting saw exactly the two failures.
-  obs::Snapshot snap = engine.metrics_snapshot();
+  obs::Snapshot snap = engine->metrics_snapshot();
   EXPECT_EQ(snap.counter_value("scidive_ruleset_reloads_total", {{"result", "error"}}), 2u);
   EXPECT_EQ(snap.counter_value("scidive_ruleset_reloads_total", {{"result", "ok"}}), 0u);
 
   // A valid reload flips the ok counter and swaps the live set.
-  auto good = reload_from_file(engine, shipped_ruleset_paths()[0]);
+  auto good = reload_from_file(*engine, shipped_ruleset_paths()[0]);
   EXPECT_TRUE(good.ok()) << good.error().to_string();
-  EXPECT_EQ(engine.rule_count(), 1u);
-  snap = engine.metrics_snapshot();
+  EXPECT_EQ(engine->rule_count(), 1u);
+  snap = engine->metrics_snapshot();
   EXPECT_EQ(snap.counter_value("scidive_ruleset_reloads_total", {{"result", "ok"}}), 1u);
   std::remove(bad_path.c_str());
 }
@@ -457,10 +459,10 @@ TEST(RuledslParity, FastpathHotReloadMidStreamStaysByteIdentical) {
   const CompiledRuleset ruleset = load_shipped();
   Scenario s = bye_attack_scenario();
 
-  ScidiveEngine baseline = make_engine(s, make_rules(ruleset));
-  for (const pkt::Packet& p : s.capture) baseline.on_packet(p);
-  ASSERT_GE(baseline.alerts().count_for_rule("bye-attack"), 1u);
-  EXPECT_GT(baseline.fastpath_bypassed(), 0u)
+  auto baseline = make_engine(s, make_rules(ruleset));
+  for (const pkt::Packet& p : s.capture) baseline->on_packet(p);
+  ASSERT_GE(baseline->alerts().count_for_rule("bye-attack"), 1u);
+  EXPECT_GT(baseline->fastpath_bypassed(), 0u)
       << "the shipped DSL rules must not opt steady media out of the bypass";
 
   EngineConfig off_config = replay_config(s.home);
@@ -469,18 +471,18 @@ TEST(RuledslParity, FastpathHotReloadMidStreamStaysByteIdentical) {
   off.set_rules(make_rules(ruleset));
   for (const pkt::Packet& p : s.capture) off.on_packet(p);
   EXPECT_EQ(off.fastpath_bypassed(), 0u);
-  EXPECT_EQ(alert_strings(baseline), alert_strings(off));
-  EXPECT_EQ(ledger_strings(baseline), ledger_strings(off));
+  EXPECT_EQ(alert_strings(*baseline), alert_strings(off));
+  EXPECT_EQ(ledger_strings(*baseline), ledger_strings(off));
 
-  ScidiveEngine reloaded = make_engine(s, make_rules(ruleset));
+  auto reloaded = make_engine(s, make_rules(ruleset));
   for (size_t i = 0; i < s.capture.size(); ++i) {
-    if (i % 7 == 3) reloaded.set_rules(make_rules(ruleset));  // frequent swaps
-    reloaded.on_packet(s.capture[i]);
+    if (i % 7 == 3) reloaded->set_rules(make_rules(ruleset));  // frequent swaps
+    reloaded->on_packet(s.capture[i]);
   }
-  EXPECT_EQ(alert_strings(reloaded), alert_strings(baseline));
-  EXPECT_EQ(ledger_strings(reloaded), ledger_strings(baseline));
-  EXPECT_GT(reloaded.fastpath_bypassed(), 0u) << "bypass must re-engage after each swap";
-  EXPECT_GE(fastpath_invalidations(reloaded), 1u)
+  EXPECT_EQ(alert_strings(*reloaded), alert_strings(*baseline));
+  EXPECT_EQ(ledger_strings(*reloaded), ledger_strings(*baseline));
+  EXPECT_GT(reloaded->fastpath_bypassed(), 0u) << "bypass must re-engage after each swap";
+  EXPECT_GE(fastpath_invalidations(*reloaded), 1u)
       << "each swap must write back and drop the populated cache";
 }
 
@@ -513,26 +515,26 @@ TEST(RuledslParity, FastpathDisabledByRtpPacketSeenSubscriptionUntilReload) {
   auto run = [&](bool fastpath_enabled) {
     EngineConfig config = replay_config(media_dst.addr);
     config.fastpath.enabled = fastpath_enabled;
-    ScidiveEngine engine(config);
-    engine.set_rules(make_rules(tap.value()));
+    auto engine = std::make_unique<ScidiveEngine>(config);
+    engine->set_rules(make_rules(tap.value()));
     for (size_t i = 0; i < stream.size(); ++i) {
       if (i == 30) {
         // While media-tap is live the bypass must never have engaged.
-        EXPECT_EQ(engine.fastpath_bypassed(), 0u);
-        auto swapped = reload_from_file(engine, rtp_rules);
+        EXPECT_EQ(engine->fastpath_bypassed(), 0u);
+        auto swapped = reload_from_file(*engine, rtp_rules);
         EXPECT_TRUE(swapped.ok()) << swapped.error().to_string();
       }
-      engine.on_packet(stream[i]);
+      engine->on_packet(stream[i]);
     }
     return engine;
   };
 
-  ScidiveEngine on = run(/*fastpath_enabled=*/true);
-  ScidiveEngine off = run(/*fastpath_enabled=*/false);
-  EXPECT_GT(on.fastpath_bypassed(), 20u) << "reload away from media-tap re-arms the bypass";
-  EXPECT_EQ(off.fastpath_bypassed(), 0u);
-  EXPECT_EQ(alert_strings(on), alert_strings(off));
-  EXPECT_GE(on.alerts().count_for_rule("media-tap"), 1u)
+  auto on = run(/*fastpath_enabled=*/true);
+  auto off = run(/*fastpath_enabled=*/false);
+  EXPECT_GT(on->fastpath_bypassed(), 20u) << "reload away from media-tap re-arms the bypass";
+  EXPECT_EQ(off->fastpath_bypassed(), 0u);
+  EXPECT_EQ(alert_strings(*on), alert_strings(*off));
+  EXPECT_GE(on->alerts().count_for_rule("media-tap"), 1u)
       << "the interested rule must have seen the flow on the slow path";
 }
 

@@ -1,7 +1,9 @@
 // Failure injection and awkward conditions for the full IDS pipeline.
 #include <gtest/gtest.h>
 
+#include "capture/carrier_mix.h"
 #include "pkt/fragment.h"
+#include "rtp/rtp.h"
 #include "scidive/engine.h"
 #include "voip/attack.h"
 #include "voip/voip_fixture.h"
@@ -154,6 +156,49 @@ TEST(EngineEdge, ExpiredStateDoesNotResurrect) {
   f.sim.run_until(f.sim.now() + sec(1));
   EXPECT_EQ(f.ids.alerts().count(), 0u);
   EXPECT_GT(f.ids.trails().trail_count(), 0u);
+}
+
+TEST(EngineEdge, ExpiryDropsMediaBindingsOfExpiredSessions) {
+  ScidiveEngine engine;
+  capture::CarrierMixConfig mix;
+  mix.seed = 1;
+  mix.max_packets = 500'000;
+  capture::CarrierMixSource source(mix);
+  engine.run(source);
+  const SimTime end = source.now();
+
+  // Remember one bound media endpoint and the call it belongs to.
+  std::optional<pkt::Endpoint> stale;
+  SessionId call;
+  for (const SessionId& session : engine.trails().sessions()) {
+    std::vector<pkt::Endpoint> media = engine.trails().media_endpoints(session);
+    if (!media.empty()) {
+      stale = media.front();
+      call = session;
+      break;
+    }
+  }
+  ASSERT_TRUE(stale.has_value());
+  ASSERT_GT(engine.trails().media_binding_count(), 0u);
+
+  engine.expire_idle(end + sec(1));
+  EXPECT_EQ(engine.trails().session_count(), 0u);
+  EXPECT_EQ(engine.trails().media_binding_count(), 0u);
+  EXPECT_EQ(engine.metrics_snapshot().gauge_value("scidive_media_bindings"), 0);
+
+  // RTP to the stale endpoint now opens an unsignaled flow session; it
+  // must not re-create the expired call.
+  rtp::RtpHeader h;
+  h.sequence = 1;
+  h.ssrc = 0x57a1e;
+  pkt::Packet p = pkt::make_udp_packet({pkt::Ipv4Address(10, 200, 0, 1), 20000}, *stale,
+                                       rtp::serialize_rtp(h, Bytes(160, 0xd5)));
+  p.timestamp = end + sec(2);
+  engine.on_packet(p);
+  const std::vector<SessionId> sessions = engine.trails().sessions();
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions.front().rfind("flow:", 0), 0u) << sessions.front();
+  EXPECT_FALSE(engine.trails().has_session(call));
 }
 
 }  // namespace
